@@ -103,10 +103,20 @@ BENCHMARK(BM_CopyingBuffer);
 }  // namespace bufferdb
 
 // BENCHMARK_MAIN(), plus a --smoke flag google-benchmark doesn't know:
-// strip it from argv and inject a tiny --benchmark_min_time instead.
+// strip it from argv and inject a tiny --benchmark_min_time instead. The
+// --benchmark_* flags belong to google-benchmark, so the shared bench parser
+// sees only the rest.
 int main(int argc, char** argv) {
+  std::vector<char*> own_args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--benchmark_", 12) != 0) {
+      own_args.push_back(argv[i]);
+    }
+  }
   bufferdb::bench::PrintJsonHeader(
-      "micro_buffer", bufferdb::bench::ScaleFactorFromArgs(argc, argv));
+      "micro_buffer",
+      bufferdb::bench::ScaleFactorFromArgs(static_cast<int>(own_args.size()),
+                                           own_args.data()));
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {

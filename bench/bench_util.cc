@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +35,6 @@ const char kQuery3[] =
 namespace {
 bool g_smoke_mode = false;
 bool g_hw_mode = false;
-bool g_adaptive_mode = false;
-bool g_fuse_mode = false;
 bool g_json_strict = false;
 size_t g_batch_size = 1;
 size_t g_buffer_size = BufferOperator::kDefaultBufferSize;
@@ -78,6 +78,24 @@ void SetupJsonStrict() {
   close(capture_fd);
   std::atexit(CheckJsonStrictAtExit);
 }
+
+[[noreturn]] void UsageError(const char* program, const std::string& why) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [scale_factor] [--smoke] [--hw] [--json-strict] "
+               "[--batch=N] [--buffer=N] [--calibration=PATH]\n",
+               program, why.c_str(), program);
+  std::exit(2);
+}
+
+// The whole of `text` as a positive integer, else 0.
+size_t ParsePositiveSize(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || text[0] == '-') return 0;
+  return static_cast<size_t>(v);
+}
 }  // namespace
 
 Catalog& SharedTpch(double scale_factor) {
@@ -111,10 +129,6 @@ size_t BatchSizeArg() { return g_batch_size; }
 
 size_t BufferSizeArg() { return g_buffer_size; }
 
-bool AdaptiveArg() { return g_adaptive_mode; }
-
-bool FuseArg() { return g_fuse_mode; }
-
 const std::string& CalibrationArg() { return g_calibration_path; }
 
 void Note(const char* fmt, ...) {
@@ -141,28 +155,19 @@ double ScaleFactorFromArgs(int argc, char** argv) {
       g_hw_mode = true;
       continue;
     }
-    if (arg == "--adaptive") {
-      g_adaptive_mode = true;
-      continue;
-    }
-    if (arg == "--fuse") {
-      g_fuse_mode = true;
-      continue;
-    }
     if (arg == "--json-strict") {
       if (!g_json_strict) SetupJsonStrict();
       g_json_strict = true;
       continue;
     }
     if (arg.rfind("--batch=", 0) == 0) {
-      long v = std::atol(arg.c_str() + 8);
-      g_batch_size = v > 0 ? static_cast<size_t>(v) : 1;
+      g_batch_size = ParsePositiveSize(arg.c_str() + 8);
+      if (g_batch_size == 0) UsageError(argv[0], "bad batch width: " + arg);
       continue;
     }
     if (arg.rfind("--buffer=", 0) == 0) {
-      long v = std::atol(arg.c_str() + 9);
-      g_buffer_size = v > 0 ? static_cast<size_t>(v)
-                            : BufferOperator::kDefaultBufferSize;
+      g_buffer_size = ParsePositiveSize(arg.c_str() + 9);
+      if (g_buffer_size == 0) UsageError(argv[0], "bad buffer size: " + arg);
       continue;
     }
     if (arg.rfind("--calibration=", 0) == 0) {
@@ -178,8 +183,13 @@ double ScaleFactorFromArgs(int argc, char** argv) {
                sim::CodeLayout::Default().total_code_bytes()));
       continue;
     }
-    double v = std::atof(arg.c_str());
-    if (v > 0) sf = v;
+    if (arg.rfind("--", 0) == 0) UsageError(argv[0], "unknown flag: " + arg);
+    char* end = nullptr;
+    double v = std::strtod(arg.c_str(), &end);
+    if (end == arg.c_str() || *end != '\0' || !(v > 0) || !std::isfinite(v)) {
+      UsageError(argv[0], "scale factor must be a positive number: " + arg);
+    }
+    sf = v;
   }
   if (g_smoke_mode && sf > kSmokeScaleFactor) sf = kSmokeScaleFactor;
   return sf;
@@ -192,11 +202,10 @@ void PrintJsonHeader(const char* bench_name, double scale_factor) {
       buf, sizeof(buf),
       "{\"bench\": \"%s\", \"scale_factor\": %.6g, \"smoke\": %s, "
       "\"hw\": %s, \"batch_size\": %zu, \"buffer_size\": %zu, "
-      "\"calibrated\": %s, \"adaptive\": %s, \"fused\": %s}",
+      "\"calibrated\": %s}",
       bench_name, scale_factor, g_smoke_mode ? "true" : "false",
       g_hw_mode ? "true" : "false", g_batch_size, g_buffer_size,
-      g_calibration_path.empty() ? "false" : "true",
-      g_adaptive_mode ? "true" : "false", g_fuse_mode ? "true" : "false");
+      g_calibration_path.empty() ? "false" : "true");
   EmitJsonLine(buf);
 }
 
@@ -216,10 +225,6 @@ QueryRun RunQuery(Catalog& catalog, const std::string& sql,
       options.batch_size > 0 ? options.batch_size : BatchSizeArg();
   planner_options.refinement = options.refinement;
   planner_options.refinement.buffer_size = options.buffer_size;
-  planner_options.refinement.adaptive_buffering =
-      options.adaptive_buffering || g_adaptive_mode;
-  planner_options.refinement.fuse_pipelines =
-      options.refinement.fuse_pipelines || g_fuse_mode;
   PhysicalPlanner planner(&catalog, planner_options);
 
   QueryRun run;
@@ -282,8 +287,6 @@ QueryRun RunQuery(Catalog& catalog, const std::string& sql,
     if (!options.simulate) run.rows = std::move(*rows);
     run.profile.AttributeGroups(run.report);
   }
-  // Post-run buffer telemetry (walks through profiler wrappers).
-  CollectBufferStats(*root, &run.buffers);
   return run;
 }
 
@@ -309,7 +312,6 @@ QueryRun RunPlan(const std::function<OperatorPtr()>& build,
   }
   run.rows = std::move(*rows);
   run.breakdown = cpu.Breakdown();
-  CollectBufferStats(*root, &run.buffers);
   return run;
 }
 

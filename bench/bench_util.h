@@ -29,20 +29,14 @@ constexpr double kSmokeScaleFactor = 0.002;
 Catalog& SharedTpch(double scale_factor);
 
 /// Parses the bench command line: a positional scale factor (argv[1]) plus
-/// the flags below. Must be the first bench_util call in main().
+/// the flags below. Must be the first bench_util call in main(). An unknown
+/// flag, a scale factor that is not a positive number, or a non-positive or
+/// non-numeric --batch=/--buffer= value prints usage to stderr and exits 2.
 ///
 ///   --smoke        CI mode: caps the scale factor at kSmokeScaleFactor and
 ///                  tells benches (via SmokeMode) to cut iteration counts.
 ///   --batch=N      NextBatch width for batch-aware consumers (default 1).
 ///   --buffer=N     Buffer operator capacity in tuples.
-///   --adaptive     Turn on runtime-adaptive buffer sizing
-///                  (RefinementOptions::adaptive_buffering) for every
-///                  refined RunQuery: buffers sweep candidate capacities at
-///                  refill boundaries and lock the cheapest (DESIGN.md §14).
-///   --fuse         Turn on intra-group operator fusion
-///                  (RefinementOptions::fuse_pipelines) for every refined
-///                  RunQuery: maximal scan-filter-project chains collapse
-///                  into one compiled pipeline kernel (DESIGN.md §15).
 ///   --calibration=PATH
 ///                  Loads a measured code-layout calibration (the file
 ///                  `tools/footprint_audit.py --emit-calibration` writes)
@@ -75,12 +69,6 @@ size_t BatchSizeArg();
 
 /// Buffer capacity selected by `--buffer=N` (kDefaultBufferSize when absent).
 size_t BufferSizeArg();
-
-/// True once ScaleFactorFromArgs has seen `--adaptive`.
-bool AdaptiveArg();
-
-/// True once ScaleFactorFromArgs has seen `--fuse`.
-bool FuseArg();
 
 /// Calibration file selected by `--calibration=PATH` (empty when absent).
 const std::string& CalibrationArg();
@@ -120,9 +108,6 @@ struct QueryRun {
   double wall_seconds = 0;
   /// Per-operator hardware attribution; empty() unless hw profiling ran.
   perf::QueryProfile profile;
-  /// Post-run per-BufferOperator runtime stats (chosen capacity, demotion,
-  /// refill counts), in plan pre-order. Empty when the plan has no buffers.
-  std::vector<BufferRuntimeStats> buffers;
 };
 
 struct RunOptions {
@@ -140,14 +125,9 @@ struct RunOptions {
   /// twice — simulated first, then profiled with the simulator detached —
   /// so neither measurement observes the other's overhead.
   bool hw_profile = false;
-  /// Runtime-adaptive buffer sizing for refined plans. Defaults to the
-  /// `--adaptive` flag; setting it here forces it for this run regardless.
-  bool adaptive_buffering = false;
   /// How many times to execute the plan (Open -> drain -> Close), modeling a
   /// re-executed prepared statement. Counters accumulate across executions
-  /// and `rows` holds the last execution's output. Operators keep their
-  /// state across executions, so an adaptive buffer that calibrated or
-  /// demoted itself in the first execution serves the later ones frozen.
+  /// and `rows` holds the last execution's output.
   int executions = 1;
   sim::SimConfig sim_config;
   RefinementOptions refinement;  // cardinality/l1i defaults; buffer_size and

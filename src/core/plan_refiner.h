@@ -39,24 +39,6 @@ struct RefinementOptions {
   /// overestimate makes groups look too big, so plans get buffers they do
   /// not need.
   bool assume_static_footprints = false;
-  /// Runtime-adaptive buffer sizing (DESIGN.md §14): every inserted Buffer
-  /// gets an AdaptiveBufferController that sweeps candidate capacities
-  /// during the first refills, locks the cheapest, and demotes the buffer
-  /// to pass-through when the observed cardinality lands under the
-  /// threshold. OFF by default — with the knob off, plans, results and sim
-  /// counters are bit-identical to the static refiner.
-  bool adaptive_buffering = false;
-  /// Controller knobs applied when adaptive_buffering is on. A negative
-  /// demote_row_floor (the default) follows the refiner's batch-scaled
-  /// cardinality_threshold.
-  AdaptiveBufferOptions adaptive;
-  /// Intra-group operator fusion (DESIGN.md §15): before grouping, collapse
-  /// every maximal Scan -> Filter* -> [Project] chain whose expressions all
-  /// compiled to kernel programs into one FusedPipelineOperator — a single
-  /// NextBatch loop with no per-stage dispatch between the fused stages.
-  /// OFF by default — with the knob off, plans, results and sim counters
-  /// are bit-identical to the unfused refiner.
-  bool fuse_pipelines = false;
 };
 
 struct RefinementReport {
@@ -107,10 +89,6 @@ class PlanRefiner {
   };
 
   RecResult RefineRec(OperatorPtr op, RefinementReport* report);
-  /// Pre-order fusion pass (options_.fuse_pipelines): tries TryFuse at every
-  /// node top-down, so chains fuse maximally; a fused subtree becomes a leaf
-  /// and is not descended into.
-  OperatorPtr FuseRec(OperatorPtr op);
   OperatorPtr CloseGroup(OperatorPtr group_top, OpenGroup group,
                          RefinementReport* report);
   bool Eligible(const Operator& op) const;

@@ -64,16 +64,6 @@ class ColumnScanOperator final : public Operator {
   void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
   bool morsel_mode() const { return morsels_ != nullptr; }
 
-  /// The bound cursor (null in full-table mode). FusedPipeline inherits it
-  /// when this scan becomes the source stage of a fused chain.
-  parallel::MorselCursor* morsel_cursor() const { return morsels_; }
-
-  /// Pruning conjuncts extracted from the predicate; FusedPipeline reuses
-  /// them so a fused columnar source keeps the zone-map skip.
-  const std::vector<ZoneConjunct>& zone_conjuncts() const {
-    return conjuncts_;
-  }
-
  private:
   /// True when block `block` cannot contain a qualifying row.
   bool BlockPruned(size_t block) const;

@@ -56,10 +56,6 @@ class SeqScanOperator final : public Operator {
   void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
   bool morsel_mode() const { return morsels_ != nullptr; }
 
-  /// The bound cursor (null in full-table mode). FusedPipeline inherits it
-  /// when this scan becomes the source stage of a fused chain.
-  parallel::MorselCursor* morsel_cursor() const { return morsels_; }
-
  private:
   Table* table_;
   ExprPtr predicate_;

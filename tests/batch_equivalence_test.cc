@@ -11,17 +11,14 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/adaptive_buffer.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/filter.h"
-#include "exec/fused_pipeline.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
 #include "exec/project.h"
@@ -81,45 +78,6 @@ std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
   return Decode(*rows, root->output_schema());
 }
 
-// CI's debug-contracts job re-runs this suite with BUFFERDB_ADAPTIVE_BUFFERING
-// set: every BufferOperator in every checked plan then carries a runtime
-// controller (DESIGN.md §14), so batch/tuple equivalence — and the contract
-// checker's slice poisoning — also covers mid-stream capacity resizing and
-// demotion. Unset (the default), the suite is bit-identical to the static
-// engine.
-bool AdaptiveFromEnv() {
-  const char* env = std::getenv("BUFFERDB_ADAPTIVE_BUFFERING");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// CI also re-runs this suite with BUFFERDB_FUSE_PIPELINES set: every
-// hand-built Scan -> Filter* -> [Project] chain is then collapsed into a
-// FusedPipelineOperator (DESIGN.md §15) before contract-checking, and
-// planner-built Exchange plans go through the refiner with the
-// fuse_pipelines knob on — so batch/tuple equivalence also covers the fused
-// kernels. Unset (the default), the suite is bit-identical to the unfused
-// engine.
-bool FuseFromEnv() {
-  const char* env = std::getenv("BUFFERDB_FUSE_PIPELINES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-OperatorPtr MaybeFuse(OperatorPtr plan) {
-  if (!FuseFromEnv()) return plan;
-  return FusedPipelineOperator::TryFuse(std::move(plan),
-                                        FusedPipelineOptions());
-}
-
-void MaybeEnableAdaptive(Operator* op) {
-  if (!AdaptiveFromEnv()) return;
-  if (auto* buffer = dynamic_cast<BufferOperator*>(op)) {
-    buffer->EnableAdaptive(AdaptiveBufferOptions());
-  }
-  for (size_t i = 0; i < op->num_children(); ++i) {
-    MaybeEnableAdaptive(op->child(i));
-  }
-}
-
 void ExpectSameRows(const std::vector<std::vector<Value>>& expected,
                     const std::vector<std::vector<Value>>& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -144,13 +102,9 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
     // Both plans go through the contract checker: in Debug builds every
     // operator pairing in this suite also asserts the Open/Next/Close state
     // machine and poisons stale batch slices; in Release the wrapper
-    // compiles away. The batch plan is additionally fused when
-    // BUFFERDB_FUSE_PIPELINES is set (fusion needs the raw operator tree,
-    // so it runs before wrapping).
+    // compiles away.
     OperatorPtr tuple_plan = testutil::ContractChecked(factory());
-    OperatorPtr batch_plan = testutil::ContractChecked(MaybeFuse(factory()));
-    MaybeEnableAdaptive(tuple_plan.get());
-    MaybeEnableAdaptive(batch_plan.get());
+    OperatorPtr batch_plan = testutil::ContractChecked(factory());
     ExpectSameRows(RunPlan(tuple_plan.get()),
                    RunPlanBatched(batch_plan.get(), batch()));
   }
@@ -307,10 +261,8 @@ TEST_P(BatchEquivalenceTest, MixingNextAndNextBatchIsAllowed) {
   // The contract allows interleaving Next() and NextBatch() on one stream.
   auto table = MakeKvTable("t", TestRows());
   auto make_buffer = [&] {
-    auto buffer = std::make_unique<BufferOperator>(
+    return std::make_unique<BufferOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
-    MaybeEnableAdaptive(buffer.get());
-    return buffer;
   };
   auto expected = RunPlan(make_buffer().get());
 
@@ -378,18 +330,6 @@ TEST_P(ExchangeBatchEquivalenceTest, ProjectionAcrossDegrees) {
     PlannerOptions options;
     options.parallel_degree = degree;
     options.batch_size = GetParam();
-    if (AdaptiveFromEnv()) {
-      // Adaptive CI pass: every per-worker buffer calibrates on its own
-      // thread; the result must still match the unrefined serial plan.
-      options.refine = true;
-      options.refinement.adaptive_buffering = true;
-    }
-    if (FuseFromEnv()) {
-      // Fused CI pass: worker fragments' scan chains collapse into fused
-      // kernels; the result must still match the unrefined serial plan.
-      options.refine = true;
-      options.refinement.fuse_pipelines = true;
-    }
     OperatorPtr plan = MustPlan(kSql, options);
     auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
     EXPECT_EQ(expected, actual) << "degree " << degree;
@@ -410,14 +350,6 @@ TEST_P(ExchangeBatchEquivalenceTest, JoinAggregateAcrossDegrees) {
     options.parallel_degree = degree;
     options.batch_size = GetParam();
     options.join_strategy = JoinStrategy::kHashJoin;
-    if (AdaptiveFromEnv()) {
-      options.refine = true;
-      options.refinement.adaptive_buffering = true;
-    }
-    if (FuseFromEnv()) {
-      options.refine = true;
-      options.refinement.fuse_pipelines = true;
-    }
     OperatorPtr plan = MustPlan(kSql, options);
     auto actual = RunPlanBatched(plan.get(), GetParam());
     ASSERT_EQ(actual.size(), 1u) << "degree " << degree;

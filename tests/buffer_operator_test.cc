@@ -230,88 +230,37 @@ TEST(BufferOperatorTest, RefillNeverReallocatesThePointerArray) {
   EXPECT_EQ(buffer.buffer_reallocs(), 0u);
 }
 
-TEST(BufferOperatorTest, ResizeMidStreamKeepsResultIdentity) {
-  // Satellite: Resize() between reads must never disturb the stream. The new
-  // capacity applies at the next refill boundary, so tuples keep flowing in
-  // order across shrink and grow while a window is in flight.
-  auto table = SequentialTable(100);
-  BufferOperator buffer(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 10);
-  ExecContext ctx;
-  ASSERT_TRUE(buffer.Open(&ctx).ok());
-  size_t i = 0;
-  for (; i < 25; ++i) {  // mid-window: 25 = 2 full refills + half a third
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  buffer.Resize(3);
-  for (; i < 31; ++i) {  // cross the pending-resize refill boundary
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  EXPECT_EQ(buffer.buffer_size(), 3u);  // applied at the refill, not before
-  buffer.Resize(64);
-  for (; i < 100; ++i) {
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  EXPECT_EQ(buffer.Next(), nullptr);
-  EXPECT_EQ(buffer.buffer_size(), 64u);
-  buffer.Close();
-}
-
-TEST(BufferOperatorTest, ResizeThenRescanStillReplaysIdentically) {
-  // Satellite: a pending Resize must not invalidate the Rescan replay — the
-  // pending capacity only applies at a refill, which a replayed
-  // (single-refill, fully buffered) stream never performs.
-  auto table = SequentialTable(50);
-  BufferOperator buffer(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
-  ExecContext ctx;
-  ASSERT_TRUE(buffer.Open(&ctx).ok());
-  for (int i = 0; i < 50; ++i) ASSERT_EQ(buffer.Next(), table->row(i));
-  EXPECT_EQ(buffer.Next(), nullptr);
-  buffer.Resize(5);
-  ASSERT_TRUE(buffer.Rescan().ok());
-  EXPECT_EQ(buffer.replays(), 1u);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(buffer.Next(), table->row(static_cast<size_t>(i)))
-        << "replayed tuple " << i;
-  }
-  EXPECT_EQ(buffer.Next(), nullptr);
-  EXPECT_EQ(buffer.refills(), 1u);  // the child still ran exactly once
-  buffer.Close();
-}
-
-TEST(BufferOperatorTest, ResizeUnderContractCheckerWithSlicePoisoning) {
-  // Satellite: drive the batch path through the contract checker while
-  // resizing mid-stream. Every NextBatch() poisons the previous slice, so
-  // this fails loudly if a resize ever served a stale window; meanwhile the
-  // delivered values must stay the full stream in order.
+TEST(BufferOperatorTest, RescanReplayUnderContractCheckerWithSlicePoisoning) {
+  // Drive the batch path through the contract checker across a Rescan
+  // replay. Every NextBatch() and the Rescan itself poison the previous
+  // slice, so this fails loudly if a replay ever served a stale window;
+  // each pass must deliver the full stream in order from the one refill.
   auto table = SequentialTable(60);
   auto buffer = std::make_unique<BufferOperator>(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 7);
+      std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
   BufferOperator* raw = buffer.get();
   ContractCheckedOperator checked(std::move(buffer));
   ExecContext ctx;
   ASSERT_TRUE(checked.Open(&ctx).ok());
-  const uint8_t* slice[4];
-  std::vector<int64_t> seen;
-  bool resized = false;
-  while (size_t n = checked.NextBatch(slice, 4)) {
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_NE(slice[i], ContractCheckedOperator::PoisonPointer());
-      seen.push_back(TupleView(slice[i], &table->schema()).GetInt64(0));
+  const uint8_t* slice[7];
+  for (int pass = 0; pass < 3; ++pass) {
+    std::vector<int64_t> seen;
+    while (size_t n = checked.NextBatch(slice, 7)) {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_NE(slice[i], ContractCheckedOperator::PoisonPointer());
+        seen.push_back(TupleView(slice[i], &table->schema()).GetInt64(0));
+      }
     }
-    if (!resized && seen.size() >= 20) {
-      raw->Resize(3);
-      resized = true;
+    // The final call (returning 0) poisoned the last handed-out slice.
+    EXPECT_EQ(slice[0], ContractCheckedOperator::PoisonPointer());
+    ASSERT_EQ(seen.size(), 60u) << "pass " << pass;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], static_cast<int64_t>(i)) << "pass " << pass;
     }
+    ASSERT_TRUE(checked.Rescan().ok());
   }
-  // The final call (returning 0) poisoned the last handed-out slice.
-  EXPECT_EQ(slice[0], ContractCheckedOperator::PoisonPointer());
-  ASSERT_EQ(seen.size(), 60u);
-  for (size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(raw->buffer_size(), 3u);
+  EXPECT_EQ(raw->replays(), 3u);
+  EXPECT_EQ(raw->refills(), 1u);  // The child ran exactly once.
   checked.Close();
 }
 

@@ -43,16 +43,12 @@ import re
 import sys
 
 # Fields that identify a record rather than measure it: must be equal.
-# The adaptive-buffering outcome fields are identity on purpose: the
-# controller is deterministic on the simulator, so a changed chosen capacity
-# or demotion decision is a behavior change, not measurement noise.
 IDENTITY_FIELDS = {
     "bench", "config", "query", "comparison", "predicate", "scale_factor",
     "smoke", "hw", "rows", "sim_rows", "key_range", "batch_width",
     "batch_size", "buffer_size", "sim_buffer_size", "iters", "keep_fraction",
     "buffers_added", "groups_out", "selected", "outputs_identical", "avx2",
     "decode_rows_out", "string_rows_out", "rows_out", "series",
-    "adaptive_chosen_size", "adaptive_demoted", "best_static",
 }
 
 # (regex on the dotted metric path, direction, kind)
@@ -64,7 +60,7 @@ POLICIES = [
                 r"l1d_misses|l2_misses|l2_i_misses|itlb_misses|mispredicts|"
                 r"l1i_accesses|l1d_accesses|l2_accesses|itlb_accesses|"
                 r"branches)$"), "lower", "rel"),
-    (re.compile(r"^sim_(orig|buf|tuple|batch|row|col|fused|unfused)_"
+    (re.compile(r"^sim_(orig|buf|tuple|batch|row|col)_"
                 r"(l1i|itlb|mispredicts|instructions|l1i_misses|"
                 r"l1i_accesses)"), "lower", "rel"),
     (re.compile(r"reduction_pct$|improvement_pct$"), "higher", "abs_pct"),
@@ -305,11 +301,12 @@ def self_test() -> int:
         assert run(bdir, cdir, 0.15, 0.6, None, sink) == 1
         assert "stale" in sink.getvalue()
 
-        # Fused-pipeline counters are gated like the other sim counters.
-        fused_base = dict(base_rec, sim_fused_l1i_accesses=1000)
-        fused_bad = dict(base_rec, sim_fused_l1i_accesses=1400)
-        write(bdir, "x.jsonl", [fused_base])
-        write(cdir, "x.jsonl", [fused_bad])
+        # Prefixed counters (here the batch-path ones) are gated like the
+        # other sim counters.
+        batch_base = dict(base_rec, sim_batch_l1i_accesses=1000)
+        batch_bad = dict(base_rec, sim_batch_l1i_accesses=1400)
+        write(bdir, "x.jsonl", [batch_base])
+        write(cdir, "x.jsonl", [batch_bad])
         assert run(bdir, cdir, 0.15, 0.6, None, io.StringIO()) == 1
         write(bdir, "x.jsonl", [base_rec])
 

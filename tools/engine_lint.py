@@ -51,25 +51,6 @@ see (see DESIGN.md section 9):
                             batch source to alias from) are annotated
                             `// LINT: allow-row-decode(<reason>)` on the
                             same or the preceding line.
-  ENG010 fused-reentry      Fused pipeline sources (fused_pipeline.*) never
-                            re-enter their collapsed chain: no virtual
-                            Next()/NextBatch() calls on fused children and no
-                            per-tuple Evaluate/EvaluatePredicate interpreter
-                            calls anywhere in the operator -- the whole point
-                            of fusion is that the retained chain exists only
-                            for schemas/labels while the stages execute as
-                            inline kernel programs. Annotate deliberate cases
-                            `// LINT: allow-eng010(<reason>)`.
-  ENG009 adaptive-hot-path  The adaptive buffer controller
-                            (core/adaptive_buffer.*) sits on every refill
-                            boundary of every adaptive buffer, and its
-                            frozen fast path is advertised as "one branch +
-                            return" (DESIGN.md section 14). No allocation
-                            and no locks/atomics in any of its function
-                            bodies outside the cold phases: the
-                            constructor, OnOpen(), Summary(), and the
-                            post-run stats walk. Annotate deliberate cases
-                            `// LINT: allow-eng009(<reason>)`.
 
 Suppressions use one canonical grammar across all rules:
 `// LINT: allow-<rule>(<reason>)`. The deprecated aliases
@@ -113,8 +94,6 @@ ALLOW_THREAD = "LINT: allow-thread"
 ALLOW_SCALAR_EVAL = "LINT: allow-scalar-eval"
 ALLOW_SYSCALL = "LINT: allow-syscall"
 ALLOW_ROW_DECODE = "LINT: allow-row-decode"
-ALLOW_ENG009 = "LINT: allow-eng009"
-ALLOW_ENG010 = "LINT: allow-eng010"
 
 
 @dataclass(frozen=True)
@@ -531,111 +510,6 @@ def check_syscall_containment(path: str, raw: str, stripped: str) -> list[Findin
 
 
 # ---------------------------------------------------------------------------
-# ENG009: adaptive buffer controller hot paths stay allocation- and lock-free
-# ---------------------------------------------------------------------------
-
-# Functions of the controller allowed to allocate / touch synchronization:
-# everything else in adaptive_buffer.* runs per refill boundary (or per
-# stream end / rescan miss) and must stay O(1) and allocation-free.
-ENG009_COLD_FUNCS = {
-    "AdaptiveBufferController",  # constructor: builds the candidate ladder
-    "OnOpen",                    # per-run signal binding
-    "EnableAdaptive",            # one-time controller attachment
-    "Summary",                   # human-readable reporting
-    "CollectBufferStats",        # post-run telemetry walk
-}
-
-# A function definition: `name(params) [const] [: init-list] {`. Params may
-# not contain parens or semicolons (rules out for/if/while headers beyond
-# the keyword filter); the optional init-list clause lets the constructor
-# match so its body registers as cold instead of leaking hot-scanned
-# fragments like `chosen_capacity_(x) {`.
-ENG009_FUNC_DEF_RE = re.compile(
-    r"([A-Za-z_]\w*)\s*\(([^;{}()]*)\)\s*(?:const\s*)?(?:noexcept\s*)?"
-    r"(?::[^{;]*?)?\{")
-
-ENG009_KEYWORDS = {"if", "while", "for", "switch", "catch", "return"}
-
-ENG009_BAN_PATTERNS = ALLOC_PATTERNS + [
-    (re.compile(r"\bstd::(?:mutex|recursive_mutex|shared_mutex|timed_mutex|"
-                r"lock_guard|unique_lock|scoped_lock|shared_lock|"
-                r"condition_variable)\b"), "lock primitive"),
-    (re.compile(r"\bstd::atomic\b|\bstd::atomic_\w+"), "atomic"),
-    (re.compile(r"(?:\.|->)\s*(?:lock|try_lock|unlock)\s*\("),
-     "explicit lock call"),
-]
-
-
-def check_adaptive_hot_path(path: str, raw: str, stripped: str) -> list[Finding]:
-    name = Path(path).name
-    if not name.startswith("adaptive_buffer"):
-        return []
-    findings: list[Finding] = []
-    allowed = annotated_lines(raw, ALLOW_ENG009)
-    raw_lines = raw.splitlines()
-    consumed_until = 0
-    for m in ENG009_FUNC_DEF_RE.finditer(stripped):
-        if m.start() < consumed_until:
-            continue  # nested inside a body already classified
-        func = m.group(1)
-        if func in ENG009_KEYWORDS:
-            continue
-        open_idx = stripped.index("{", m.start())
-        end_idx = match_brace_block(stripped, open_idx)
-        consumed_until = end_idx
-        if func in ENG009_COLD_FUNCS:
-            continue
-        body = stripped[open_idx:end_idx]
-        for pattern, what in ENG009_BAN_PATTERNS:
-            for hit in pattern.finditer(body):
-                line = line_of(stripped, open_idx + hit.start())
-                if is_annotated(raw_lines, allowed, line):
-                    continue
-                findings.append(Finding(
-                    path, line, "ENG009",
-                    f"{what} in adaptive-buffer hot function {func}(); "
-                    f"only the cold phases "
-                    f"({', '.join(sorted(ENG009_COLD_FUNCS))}) may — move "
-                    f"it there or annotate `// {ALLOW_ENG009}(<reason>)`"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# ENG010: fused pipelines never re-enter their collapsed chain
-# ---------------------------------------------------------------------------
-
-# Any virtual pull on another operator: `x->Next(...)` / `x.NextBatch(...)`.
-# The fused operator's own plain-call recursion (`NextBatch(out, n)` with no
-# object expression, used by its Next() drain) deliberately does not match.
-ENG010_CHILD_CALL_RE = re.compile(r"(?:\.|->)\s*Next(?:Batch)?\s*\(")
-
-ENG010_EVAL_RE = re.compile(
-    r"\bEvaluatePredicate\s*\(|(?:\.|->)\s*Evaluate\s*\(")
-
-
-def check_fused_reentry(path: str, raw: str, stripped: str) -> list[Finding]:
-    if not Path(path).name.startswith("fused_pipeline"):
-        return []
-    findings: list[Finding] = []
-    allowed = annotated_lines(raw, ALLOW_ENG010)
-    raw_lines = raw.splitlines()
-    for pattern, what in (
-            (ENG010_CHILD_CALL_RE, "virtual Next()/NextBatch() call"),
-            (ENG010_EVAL_RE, "per-tuple expression interpreter call")):
-        for m in pattern.finditer(stripped):
-            line = line_of(stripped, m.start())
-            if is_annotated(raw_lines, allowed, line):
-                continue
-            findings.append(Finding(
-                path, line, "ENG010",
-                f"{what} in a fused pipeline; the collapsed chain is kept "
-                f"only for schemas/labels and must never execute -- run the "
-                f"stage's compiled kernel program inline instead (or "
-                f"annotate `// {ALLOW_ENG010}(<reason>)`)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -648,8 +522,6 @@ ALL_CHECKS = [
     check_scalar_eval,
     check_syscall_containment,
     check_row_decode,
-    check_adaptive_hot_path,
-    check_fused_reentry,
 ]
 
 
@@ -794,40 +666,6 @@ size_t BadOp::NextBatch(const uint8_t** out, size_t max) {
 }  // namespace bufferdb
 """,
     ),
-    "src/core/adaptive_buffer.cc": (
-        "ENG009",
-        """\
-#include "core/adaptive_buffer.h"
-namespace bufferdb {
-AdaptiveBufferController::AdaptiveBufferController(size_t initial)
-    : chosen_capacity_(initial) {
-  candidates_.push_back(initial);  // cold: the ctor may allocate
-}
-size_t AdaptiveBufferController::OnRefillBoundary(size_t tuples_served) {
-  samples_.push_back(tuples_served);  // allocation on the per-refill path
-  std::lock_guard<std::mutex> hold(mu_);  // and a lock on top
-  return tuples_served;
-}
-}  // namespace bufferdb
-""",
-    ),
-    "src/exec/fused_pipeline_bad.cc": (
-        "ENG010",
-        """\
-#include "exec/fused_pipeline.h"
-namespace bufferdb {
-size_t FusedPipelineOperator::NextBatch(const uint8_t** out, size_t max) {
-  // Re-entering the collapsed chain defeats the fusion.
-  size_t n = chain_->NextBatch(out, max);
-  for (size_t i = 0; i < n; ++i) {
-    Value v = predicate_->Evaluate(out[i]);  // and so does the interpreter
-    (void)v;
-  }
-  return n;
-}
-}  // namespace bufferdb
-""",
-    ),
     "src/exec/bad_row_decode.cc": (
         "ENG008",
         """\
@@ -885,28 +723,6 @@ const uint8_t* GoodOp::NextHelper() {
 }
 }  // namespace bufferdb
 """,
-    "src/core/adaptive_buffer.h": """\
-#pragma once
-#include <cstdint>
-#include <vector>
-namespace bufferdb {
-/// ENG009 fixture: hot controller functions that stay allocation-free pass,
-/// and the canonical annotation silences a deliberate cold-side exception.
-class AdaptiveBufferController {
- public:
-  size_t OnRefillBoundary(size_t tuples_served) {
-    if (tuples_served > best_) best_ = tuples_served;
-    return best_;
-  }
-  void OnStreamEnd(uint64_t total_rows) {
-    trace_.push_back(total_rows);  // LINT: allow-eng009(test fixture)
-  }
- private:
-  size_t best_ = 0;
-  std::vector<uint64_t> trace_;
-};
-}  // namespace bufferdb
-""",
     "src/perf/good_syscall.cc": """\
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -915,33 +731,6 @@ namespace bufferdb::perf {
 // a raw syscall is allowed without an annotation.
 long OpenCounter() { return syscall(__NR_perf_event_open, nullptr, 0, -1, -1, 0); }
 }  // namespace bufferdb::perf
-""",
-    "src/exec/fused_pipeline_good.cc": """\
-#include "exec/fused_pipeline.h"
-namespace bufferdb {
-// ENG010 fixture: a fused pipeline that drives its stages through compiled
-// programs, drains itself via a PLAIN NextBatch recursion (no object
-// expression, so it is not a virtual child pull), and annotates the one
-// deliberate exception.
-const uint8_t* FusedPipelineOperator::Next() {
-  if (drain_pos_ == drain_n_) {
-    drain_n_ = NextBatch(drain_.data(), kDefaultBatchSize);
-    drain_pos_ = 0;
-  }
-  return drain_pos_ < drain_n_ ? drain_[drain_pos_++] : nullptr;
-}
-size_t FusedPipelineOperator::NextBatch(const uint8_t** out, size_t max) {
-  size_t n = predicates_[0]->RunFilter(vbatch_, &sel_);
-  (void)out;
-  (void)max;
-  return n;
-}
-std::string FusedPipelineOperator::AnalyzeDetail() const {
-  // LINT: allow-eng010(cold EXPLAIN path, never on the batch loop)
-  Value v = items_[0].expr->Evaluate(sample_row_);
-  return v.ToString();
-}
-}  // namespace bufferdb
 """,
     "src/exec/good_legacy_alias.cc": """\
 #include "exec/good.h"
