@@ -327,7 +327,7 @@ void ColumnScanOperator::PublishCompacted(size_t n) {
 
 size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
   const std::vector<const uint8_t*>& rows = table_->rows();
-  if (compiled_ != nullptr && vectorized_eval_) {
+  if (compiled_ != nullptr) {
     for (;;) {
       size_t run = 0;
       if (!ClaimRun(max, &run)) break;

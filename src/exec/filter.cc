@@ -59,7 +59,6 @@ size_t FilterOperator::NextBatch(const uint8_t** out, size_t max) {
   const Schema& schema = child(0)->output_schema();
   // LINT: allow-alloc(one-time staging growth; no-op once capacity == max)
   if (in_batch_.size() < max) in_batch_.resize(max);
-  const bool vectorized = compiled_ != nullptr && vectorized_eval_;
   for (;;) {
     size_t in_n = child(0)->NextBatch(in_batch_.data(), max);
     if (in_n == 0) {
@@ -67,7 +66,7 @@ size_t FilterOperator::NextBatch(const uint8_t** out, size_t max) {
       return 0;
     }
     size_t n = 0;
-    if (vectorized) {
+    if (compiled_ != nullptr) {
       // Columns the child already published (ColumnScan aliases, an earlier
       // Filter's compacted vectors) are aliased, the rest decoded.
       RowBatchDecoder::DecodeMissing(in_batch_.data(), in_n, schema,

@@ -235,11 +235,10 @@ void HashAggregationOperator::LoadBatched() {
   batch_keys_.resize(batch_size_);
   batch_hashes_.resize(batch_size_);
   std::vector<Value> key_values(groups_.size());
-  const bool vectorized = keys_compiled_ && vectorized_eval_;
   for (;;) {
     size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_);
     if (n == 0) break;
-    if (vectorized) {
+    if (keys_compiled_) {
       // Column-at-a-time: one decode of the union of input columns feeds
       // every group-key and argument program; key serialization and the
       // accumulator updates then read the result vectors lane-wise.
@@ -279,7 +278,7 @@ void HashAggregationOperator::LoadBatched() {
       int32_t head = buckets_[batch_hashes_[i] & (buckets_.size() - 1)];
       if (head >= 0) PrefetchRead(&group_states_[head]);
     }
-    if (vectorized) {
+    if (keys_compiled_) {
       for (size_t i = 0; i < n; ++i) {
         ctx_->ExecModule(module_id(), hot_funcs_batched());
         AbsorbLane(i, batch_keys_[i], batch_hashes_[i]);

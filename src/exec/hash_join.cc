@@ -105,8 +105,7 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
       while (capacity < 2 * static_cast<size_t>(est)) capacity <<= 1;
     }
     buckets_.assign(capacity, -1);
-    if (probe_batch_size_ > 1 && build_compiled_ != nullptr &&
-        vectorized_eval_) {
+    if (probe_batch_size_ > 1 && build_compiled_ != nullptr) {
       // Batched build: pull whole batches, evaluate all keys with the
       // compiled program, then insert row-at-a-time.
       build_rows_.resize(kDefaultBatchSize);
@@ -153,7 +152,7 @@ void HashJoinOperator::FetchProbeBatch() {
     return;
   }
   const uint64_t mask = buckets_.size() - 1;
-  if (probe_compiled_ != nullptr && vectorized_eval_) {
+  if (probe_compiled_ != nullptr) {
     // Column-at-a-time key evaluation for the whole batch, then the same
     // hash + bucket-prefetch pass over the key vector.
     RowBatchDecoder::DecodeMissing(probe_rows_.data(), probe_count_,

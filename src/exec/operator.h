@@ -114,11 +114,6 @@ class Operator {
     return batch_hot_funcs_.empty() ? hot_funcs_ : batch_hot_funcs_;
   }
 
-  /// Whether this operator may use compiled kernel programs on its batch
-  /// path (set by the planner from PlannerOptions::vectorize_expressions;
-  /// defaults to on for hand-built plans).
-  void set_vectorized_eval(bool v) { vectorized_eval_ = v; }
-
   // -- Plan-tree structure (used by the refiner and the printer). --
   size_t num_children() const { return children_.size(); }
   Operator* child(size_t i) const { return children_[i].get(); }
@@ -185,7 +180,6 @@ class Operator {
   ExecContext* ctx_ = nullptr;
   std::vector<sim::FuncId> hot_funcs_;
   std::vector<sim::FuncId> batch_hot_funcs_;
-  bool vectorized_eval_ = true;
 
  private:
   std::vector<std::unique_ptr<Operator>> children_;

@@ -87,7 +87,7 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
     return 0;
   }
   const Schema& in_schema = child(0)->output_schema();
-  if (!compiled_.empty() && vectorized_eval_) {
+  if (!compiled_.empty()) {
     RowBatchDecoder::DecodeMissing(in_batch_.data(), in_n, in_schema,
                                    decode_cols_, child(0)->BatchColumns(),
                                    &vbatch_);

@@ -59,7 +59,7 @@ size_t SeqScanOperator::NextBatch(const uint8_t** out, size_t max) {
       limit_ = morsel.end;
       continue;
     }
-    if (compiled_ != nullptr && vectorized_eval_) {
+    if (compiled_ != nullptr) {
       // Vectorized predicate: gather the range into `out`, decode the
       // referenced columns once, run the kernel program, then compact the
       // survivors in place (sel_.idx is ascending, so idx[k] >= k and the

@@ -146,7 +146,7 @@ const uint8_t* StreamAggregationOperator::NextVectorized() {
 }
 
 const uint8_t* StreamAggregationOperator::Next() {
-  if (batch_size_ > 1 && keys_compiled_ && vectorized_eval_) {
+  if (batch_size_ > 1 && keys_compiled_) {
     return NextVectorized();
   }
   if (input_done_) {

@@ -31,16 +31,6 @@ ExprPtr ColRef(const Schema& schema, int col) {
                                 schema.column(col).name);
 }
 
-// Propagates PlannerOptions::vectorize_expressions to every operator of a
-// finished (sub)tree. Operators compile their expressions at construction
-// time either way; the flag gates whether the batch path uses the programs.
-void SetVectorizedEval(Operator* op, bool v) {
-  op->set_vectorized_eval(v);
-  for (size_t i = 0; i < op->num_children(); ++i) {
-    SetVectorizedEval(op->child(i), v);
-  }
-}
-
 OperatorPtr MakeScan(Table* table, const ExprPtr& filter,
                      const PlannerOptions& options) {
   ExprPtr predicate = filter != nullptr ? filter->Clone() : nullptr;
@@ -49,8 +39,7 @@ OperatorPtr MakeScan(Table* table, const ExprPtr& filter,
   OperatorPtr scan;
   // The columnar fast path is batch-native: substitute it only for batched
   // plans over tables that carry a columnar image.
-  if (options.columnar_scan && options.batch_size > 1 &&
-      table->columnar() != nullptr) {
+  if (options.batch_size > 1 && table->columnar() != nullptr) {
     scan = std::make_unique<ColumnScanOperator>(table, std::move(predicate));
   } else {
     scan = std::make_unique<SeqScanOperator>(table, std::move(predicate));
@@ -328,7 +317,6 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
       proj->set_estimated_rows(out.input_rows);
       frag = std::move(proj);
     }
-    SetVectorizedEval(frag.get(), options_.vectorize_expressions);
     fragments.push_back(std::move(frag));
   }
 
@@ -473,8 +461,6 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
     plan->set_estimated_rows(
         std::min(rows, static_cast<double>(*query.limit)));
   }
-
-  SetVectorizedEval(plan.get(), options_.vectorize_expressions);
 
   if (options_.refine) {
     RefinementOptions refinement = options_.refinement;

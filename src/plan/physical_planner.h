@@ -49,23 +49,13 @@ struct PlannerOptions {
   /// buffers (RefinementOptions::batch_size). 1 — the default — keeps
   /// tuple-at-a-time execution everywhere, the paper's setting; set e.g.
   /// Operator::kDefaultBatchSize to enable the batch path.
+  ///
+  /// Batched plans evaluate operator-owned expressions with the compiled
+  /// kernel programs (expr/vector_eval.h) wherever they compile, and scan
+  /// tables that carry a columnar image (Table::columnar()) with ColumnScan
+  /// (exec/column_scan.h); tuple-at-a-time plans use SeqScan and the
+  /// interpreter.
   size_t batch_size = 1;
-  /// Compile operator-owned expressions (filter predicates, project items,
-  /// join keys, group keys, aggregate arguments) into flat column-at-a-time
-  /// kernel programs at plan time (expr/vector_eval.h). Compilation happens
-  /// once per operator and is cached in operator state; batch-path execution
-  /// (batch_size > 1) then evaluates expressions vector-at-a-time.
-  /// Expressions the compiler does not cover (strings, LIKE) keep the
-  /// per-tuple interpreter automatically. Off forces the interpreter
-  /// everywhere (A/B measurement hook).
-  bool vectorize_expressions = true;
-  /// Use ColumnScan (zero-decode columnar scans with zone-map pruning and
-  /// dictionary-coded string predicates, exec/column_scan.h) in place of
-  /// SeqScan wherever the table carries a columnar image
-  /// (Table::columnar()) and the plan is batched (batch_size > 1).
-  /// Tuple-at-a-time plans always use SeqScan — the columnar fast path is
-  /// batch-native. Off forces SeqScan everywhere (A/B measurement hook).
-  bool columnar_scan = true;
   /// Worker pool for Exchange operators; null = the process-global pool.
   parallel::ThreadPool* thread_pool = nullptr;
 };

@@ -19,12 +19,6 @@ class FootprintTable {
   /// Builds the table from a recorder that has observed calibration queries.
   static FootprintTable FromRecorder(const CallGraphRecorder& recorder);
 
-  /// Replaces one module's function set (used when loading a saved
-  /// calibration).
-  void SetFuncs(sim::ModuleId module, const FuncSet& funcs) {
-    funcs_[static_cast<size_t>(module)] = funcs;
-  }
-
   bool has(sim::ModuleId module) const {
     return !funcs_[static_cast<size_t>(module)].empty();
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -179,12 +180,13 @@ const CodeLayout& CodeLayout::Default() {
 }
 
 bool CodeLayout::LoadCalibrationText(const std::string& text,
-                                     std::string* error) {
+                                     std::string* error, double* threshold) {
   uint32_t sizes[kNumFuncIds];
   bool pinned[kNumFuncIds] = {};
   for (int i = 0; i < kNumFuncIds; ++i) sizes[i] = kSizes[i].size_bytes;
 
   std::vector<std::pair<ModuleId, uint64_t>> module_targets;
+  std::optional<double> threshold_rows;
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -199,6 +201,16 @@ bool CodeLayout::LoadCalibrationText(const std::string& text,
     std::istringstream tok(line);
     std::string kind;
     if (!(tok >> kind) || kind[0] == '#') continue;
+    if (kind == "threshold") {
+      double rows = 0;
+      std::string extra;
+      if (!(tok >> rows) || (tok >> extra)) {
+        return fail("malformed line (want `threshold <rows>`): " + line);
+      }
+      if (!(rows > 0)) return fail("non-positive threshold");
+      threshold_rows = rows;
+      continue;
+    }
     std::string name;
     long long bytes = 0;
     std::string extra;
@@ -262,10 +274,14 @@ bool CodeLayout::LoadCalibrationText(const std::string& text,
   const CodeLayout* old = CalibratedLayoutSlot();
   CalibratedLayoutSlot() = layout;
   delete old;
+  if (threshold != nullptr && threshold_rows.has_value()) {
+    *threshold = *threshold_rows;
+  }
   return true;
 }
 
-bool CodeLayout::LoadCalibration(const std::string& path, std::string* error) {
+bool CodeLayout::LoadCalibration(const std::string& path, std::string* error,
+                                 double* threshold) {
   std::ifstream in(path);
   if (!in) {
     if (error != nullptr) *error = "cannot open calibration file " + path;
@@ -273,7 +289,7 @@ bool CodeLayout::LoadCalibration(const std::string& path, std::string* error) {
   }
   std::ostringstream text;
   text << in.rdbuf();
-  return LoadCalibrationText(text.str(), error);
+  return LoadCalibrationText(text.str(), error, threshold);
 }
 
 void CodeLayout::ResetCalibration() {

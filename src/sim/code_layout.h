@@ -88,25 +88,32 @@ class CodeLayout {
   /// LoadCalibration installs measured footprints.
   static const CodeLayout& Default();
 
-  /// Loads a measured-footprint calibration (the format emitted by
-  /// `tools/footprint_audit.py --emit-calibration`) and installs it as the
-  /// layout returned by Default(). The file is line-oriented:
+  /// Loads a system calibration (the format emitted by
+  /// `tools/footprint_audit.py --emit-calibration` and by
+  /// examples/calibrate_system) and installs it as the layout returned by
+  /// Default(). The file is line-oriented:
   ///
   ///   # comment
   ///   func <func_name> <size_bytes>      pin one synthetic function's size
   ///   module <ModuleName> <size_bytes>   target a module's shared-once total
+  ///   threshold <rows>                   the refiner's cardinality threshold
   ///
   /// Names feed the ModuleIdFromName / FuncIdFromName reverse lookups below;
-  /// an unknown name, a malformed line or a non-positive size fails the load
-  /// (returns false, `*error` says why, the installed layout is unchanged).
-  /// `module` targets are met by iterative proportional scaling of the
-  /// module's un-pinned base functions, so functions shared between modules
-  /// settle on a compromise size. Not thread-safe: call before any SimCpu
-  /// executes (the benches apply `--calibration=PATH` during argv parsing).
-  static bool LoadCalibration(const std::string& path, std::string* error);
+  /// an unknown name, a malformed line, a non-positive size or threshold
+  /// fails the load (returns false, `*error` says why, the installed layout
+  /// and `*threshold` are unchanged). On success a `threshold` line is
+  /// reported through `threshold` when non-null; without one, `*threshold`
+  /// is left untouched. `module` targets are met by iterative proportional
+  /// scaling of the module's un-pinned base functions, so functions shared
+  /// between modules settle on a compromise size. Not thread-safe: call
+  /// before any SimCpu executes (the benches apply `--calibration=PATH`
+  /// during argv parsing).
+  static bool LoadCalibration(const std::string& path, std::string* error,
+                              double* threshold = nullptr);
 
   /// LoadCalibration on in-memory text (testing / embedding).
-  static bool LoadCalibrationText(const std::string& text, std::string* error);
+  static bool LoadCalibrationText(const std::string& text, std::string* error,
+                                  double* threshold = nullptr);
 
   /// Drops any installed calibration, restoring the Table-2 layout.
   static void ResetCalibration();

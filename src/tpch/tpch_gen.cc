@@ -255,17 +255,15 @@ Status LoadTpch(const TpchConfig& config, Catalog* catalog) {
         "lineitem_orderkey", "lineitem", "l_orderkey", false));
   }
 
-  if (config.build_columnar) {
-    static const char* kTables[] = {"nation",   "region", "supplier",
-                                    "customer", "part",   "partsupp",
-                                    "orders",   "lineitem"};
-    for (const char* name : kTables) {
-      Table* table = catalog->GetTable(name);
-      if (table == nullptr) {
-        return Status::Internal(std::string("missing table: ") + name);
-      }
-      table->AttachColumnar(ColumnarTable::Build(*table));
+  static const char* kTables[] = {"nation",   "region", "supplier",
+                                  "customer", "part",   "partsupp",
+                                  "orders",   "lineitem"};
+  for (const char* name : kTables) {
+    Table* table = catalog->GetTable(name);
+    if (table == nullptr) {
+      return Status::Internal(std::string("missing table: ") + name);
     }
+    table->AttachColumnar(ColumnarTable::Build(*table));
   }
   return Status::OK();
 }

@@ -20,13 +20,11 @@ struct TpchConfig {
   /// Builds the indexes the paper's plans use: primary keys on orders /
   /// customer / part / supplier, plus lineitem(l_orderkey).
   bool build_indexes = true;
-  /// Builds a columnar image (storage/column_table.h) for every table so
-  /// batched plans can use ColumnScan: typed segments, zone maps, and
-  /// dictionary-encoded string columns.
-  bool build_columnar = true;
 };
 
-/// Generates all 8 tables (and indexes) into `catalog`.
+/// Generates all 8 tables (and indexes) into `catalog`, each with a columnar
+/// image (storage/column_table.h) so batched plans scan it with ColumnScan:
+/// typed segments, zone maps, and dictionary-encoded string columns.
 [[nodiscard]] Status LoadTpch(const TpchConfig& config, Catalog* catalog);
 
 /// Number of orders at a scale factor (lineitem is ~4x this).

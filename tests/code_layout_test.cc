@@ -2,7 +2,9 @@
 
 #include "core/execution_group.h"
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "sim/code_layout.h"
 
@@ -222,9 +224,56 @@ TEST(CodeLayoutTest, LoadCalibrationRejectsBadInput) {
 TEST(CodeLayoutTest, LoadCalibrationMissingFileFails) {
   CalibrationGuard guard;
   std::string error;
-  EXPECT_FALSE(
-      CodeLayout::LoadCalibration("/nonexistent/calibration.txt", &error));
+  double threshold = -1;
+  EXPECT_FALSE(CodeLayout::LoadCalibration("/nonexistent/calibration.txt",
+                                           &error, &threshold));
   EXPECT_FALSE(error.empty());
+  EXPECT_EQ(threshold, -1);
+}
+
+// The cardinality threshold travels in the same file as the footprints
+// (what examples/calibrate_system writes), so one load restores both.
+TEST(CodeLayoutTest, LoadCalibrationRoundTripsThreshold) {
+  CalibrationGuard guard;
+  const std::string path =
+      std::string(::testing::TempDir()) + "/calibration_threshold.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("func scan_core 4096\nthreshold 250\n", f);
+    std::fclose(f);
+  }
+  std::string error;
+  double threshold = -1;
+  ASSERT_TRUE(CodeLayout::LoadCalibration(path, &error, &threshold)) << error;
+  std::remove(path.c_str());
+  EXPECT_EQ(threshold, 250);
+  EXPECT_EQ(CodeLayout::Default().info(FuncId::kScanCore).size_bytes, 4096u);
+  // Without a threshold line the out-parameter is left untouched, and
+  // callers that pass none (the benches' --calibration=) still load it.
+  threshold = -1;
+  ASSERT_TRUE(CodeLayout::LoadCalibrationText("func scan_core 2048\n", &error,
+                                              &threshold))
+      << error;
+  EXPECT_EQ(threshold, -1);
+  ASSERT_TRUE(CodeLayout::LoadCalibrationText("threshold 64\n", &error));
+  CodeLayout::ResetCalibration();
+}
+
+TEST(CodeLayoutTest, LoadCalibrationRejectsBadThreshold) {
+  CalibrationGuard guard;
+  std::string error;
+  double threshold = -1;
+  for (const char* text :
+       {"threshold 0\n", "threshold -3\n", "threshold x\n", "threshold\n",
+        "threshold 5 6\n", "func scan_core 4096\nthreshold 0\n"}) {
+    EXPECT_FALSE(CodeLayout::LoadCalibrationText(text, &error, &threshold))
+        << text;
+    EXPECT_NE(error.find("threshold"), std::string::npos) << error;
+  }
+  // A failed load reports nothing and installs nothing.
+  EXPECT_EQ(threshold, -1);
+  EXPECT_EQ(CodeLayout::Default().info(FuncId::kScanCore).size_bytes, 3500u);
 }
 
 TEST(FuncSetTest, BasicSetOperations) {

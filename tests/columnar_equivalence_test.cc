@@ -1,7 +1,8 @@
-// Columnar-scan equivalence suite (DESIGN.md §12): the planner's
-// columnar_scan knob must be invisible in results. Covers
+// Columnar-scan equivalence suite (DESIGN.md §12): swapping SeqScan for
+// ColumnScan must be invisible in results. Covers
 //   1. the batch-equivalence plan corpus (Exchange degrees 1/2/8, widths
-//      1/7/256/1024) with columnar_scan on vs off,
+//      1/7/256/1024; batched plans scan with ColumnScan) against the
+//      width-1 serial plan (SeqScan plus the interpreter),
 //   2. zone-map pruning correctness on block-boundary-straddling predicates
 //      and all-NULL blocks (pruning must change counters, never results),
 //   3. dictionary round-trip and differential fuzz of the dictionary-code
@@ -78,7 +79,7 @@ std::unique_ptr<Table> MakeColumnarTable(size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Planner corpus: columnar_scan on vs off must be result-identical.
+// 1. Planner corpus: every width and degree matches the width-1 serial plan.
 // ---------------------------------------------------------------------------
 
 class ColumnarPlanEquivalenceTest : public ::testing::TestWithParam<size_t> {
@@ -104,21 +105,17 @@ class ColumnarPlanEquivalenceTest : public ::testing::TestWithParam<size_t> {
     return std::move(*plan);
   }
 
-  // Runs `sql` with columnar_scan off (reference) and on, across Exchange
-  // degrees 1/2/8 at the parameterized batch width; results must match
+  // Runs `sql` across Exchange degrees 1/2/8 at the parameterized batch
+  // width and compares with the width-1 serial plan; results must match
   // order-insensitively (worker interleaving is nondeterministic).
-  void CheckKnobInvisible(const std::string& sql) {
+  void CheckMatchesSerial(const std::string& sql) {
+    OperatorPtr reference = MustPlan(sql, PlannerOptions{});
+    auto expected = Canonical(RunPlan(reference.get()));
     for (size_t degree : {1u, 2u, 8u}) {
-      PlannerOptions off;
-      off.parallel_degree = degree;
-      off.batch_size = GetParam();
-      off.columnar_scan = false;
-      OperatorPtr reference = MustPlan(sql, off);
-      auto expected = Canonical(RunPlanBatched(reference.get(), GetParam()));
-
-      PlannerOptions on = off;
-      on.columnar_scan = true;
-      OperatorPtr plan = MustPlan(sql, on);
+      PlannerOptions options;
+      options.parallel_degree = degree;
+      options.batch_size = GetParam();
+      OperatorPtr plan = MustPlan(sql, options);
       auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
       EXPECT_EQ(expected, actual) << "degree " << degree << " sql: " << sql;
     }
@@ -130,30 +127,30 @@ class ColumnarPlanEquivalenceTest : public ::testing::TestWithParam<size_t> {
 Catalog* ColumnarPlanEquivalenceTest::catalog_ = nullptr;
 
 TEST_P(ColumnarPlanEquivalenceTest, NumericFilterProjection) {
-  CheckKnobInvisible(
+  CheckMatchesSerial(
       "SELECT l_orderkey, l_quantity FROM lineitem "
       "WHERE l_shipdate <= DATE '1998-09-02'");
 }
 
 TEST_P(ColumnarPlanEquivalenceTest, JoinAggregate) {
-  CheckKnobInvisible(
+  CheckMatchesSerial(
       "SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, orders "
       "WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1998-09-02'");
 }
 
 TEST_P(ColumnarPlanEquivalenceTest, StringEquality) {
-  CheckKnobInvisible(
+  CheckMatchesSerial(
       "SELECT o_orderkey, o_totalprice FROM orders "
       "WHERE o_orderpriority = '1-URGENT'");
 }
 
 TEST_P(ColumnarPlanEquivalenceTest, LikePrefix) {
-  CheckKnobInvisible(
+  CheckMatchesSerial(
       "SELECT o_orderkey FROM orders WHERE o_orderpriority LIKE '1-%'");
 }
 
 TEST_P(ColumnarPlanEquivalenceTest, ConjunctionWithStringAndRange) {
-  CheckKnobInvisible(
+  CheckMatchesSerial(
       "SELECT o_orderkey FROM orders "
       "WHERE o_orderpriority = '5-LOW' AND o_totalprice < 150000.0");
 }

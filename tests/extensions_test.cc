@@ -1,6 +1,5 @@
 // Tests for the extensions beyond the paper's core: batched index-probe
-// join (the authors' companion work), calibration persistence, and .tbl
-// import/export.
+// join (the authors' companion work) and .tbl import/export.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "core/buffered_index_join.h"
 #include "exec/nested_loop_join.h"
 #include "exec/seq_scan.h"
-#include "profile/calibration_io.h"
 #include "sim/sim_cpu.h"
 #include "test_util.h"
 #include "tpch/tbl_io.h"
@@ -125,52 +123,6 @@ TEST_F(BufferedIndexJoinTest, ReducesIndexCodeInterleavingUnderSim) {
   sim::SimCounters plain = run(false);
   sim::SimCounters batched = run(true);
   EXPECT_LT(batched.l1i_misses, plain.l1i_misses);
-}
-
-TEST(CalibrationIoTest, SaveLoadRoundTrip) {
-  profile::SystemCalibration calibration;
-  calibration.cardinality_threshold = 128;
-  FuncSet scan;
-  scan.AddAll(sim::ModuleBaseFuncs(sim::ModuleId::kSeqScanFiltered));
-  calibration.footprints.SetFuncs(sim::ModuleId::kSeqScanFiltered, scan);
-  FuncSet buffer;
-  buffer.AddAll(sim::ModuleBaseFuncs(sim::ModuleId::kBuffer));
-  calibration.footprints.SetFuncs(sim::ModuleId::kBuffer, buffer);
-
-  std::string path = TempPath("calibration_roundtrip.txt");
-  ASSERT_TRUE(profile::SaveCalibration(calibration, path).ok());
-  auto loaded = profile::LoadCalibration(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_DOUBLE_EQ(loaded->cardinality_threshold, 128);
-  EXPECT_EQ(loaded->footprints.footprint_bytes(sim::ModuleId::kSeqScanFiltered),
-            13000u);
-  EXPECT_EQ(loaded->footprints.footprint_bytes(sim::ModuleId::kBuffer), 500u);
-  EXPECT_FALSE(loaded->footprints.has(sim::ModuleId::kSort));
-  std::remove(path.c_str());
-}
-
-TEST(CalibrationIoTest, LoadRejectsCorruptFiles) {
-  std::string path = TempPath("calibration_bad.txt");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("not a calibration\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(profile::LoadCalibration(path).ok());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("bufferdb-calibration v1\nmodule NoSuchModule f\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(profile::LoadCalibration(path).ok());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("bufferdb-calibration v1\nmodule Scan no_such_func\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(profile::LoadCalibration(path).ok());
-  EXPECT_FALSE(profile::LoadCalibration(TempPath("missing.txt")).ok());
-  std::remove(path.c_str());
 }
 
 TEST(TblIoTest, RoundTripAllTypes) {

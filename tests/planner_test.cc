@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "exec/column_scan.h"
+#include "exec/seq_scan.h"
 #include "plan/cardinality.h"
 #include "plan/physical_planner.h"
 #include "plan/plan_printer.h"
@@ -232,30 +234,35 @@ TEST_F(PlannerTest, AggregateArgumentsFoldedAtPlanTime) {
   EXPECT_EQ(folded[0][0], plain[0][0]);
 }
 
-// A/B hook: PlannerOptions::vectorize_expressions toggles the compiled
-// kernel programs per plan; results must be identical either way.
-TEST_F(PlannerTest, VectorizedAndInterpretedPlansAgree) {
-  const char* queries[] = {
-      "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25",
-      "SELECT SUM(l_extendedprice), AVG(l_discount) FROM lineitem "
-      "WHERE l_shipdate <= DATE '1998-09-02'",
-      kQuery3,
+// The scan is chosen from what the planner can observe: batched plans scan
+// tables that carry a columnar image with ColumnScan; width-1 plans and
+// tables without an image use SeqScan.
+TEST_F(PlannerTest, ScanChoiceFollowsBatchWidthAndColumnarImage) {
+  auto leaf = [](const Operator* op) {
+    while (op->num_children() > 0) op = op->child(0);
+    return op;
   };
-  for (const char* sql : queries) {
-    PlannerOptions vec;
-    vec.vectorize_expressions = true;
-    PlannerOptions interp;
-    interp.vectorize_expressions = false;
-    auto a = RunSql(sql, vec);
-    auto b = RunSql(sql, interp);
-    ASSERT_EQ(a.size(), b.size()) << sql;
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].size(), b[i].size()) << sql;
-      for (size_t j = 0; j < a[i].size(); ++j) {
-        EXPECT_EQ(a[i][j], b[i][j]) << sql << " row " << i << " col " << j;
-      }
-    }
-  }
+  const char* sql = "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25";
+  PlannerOptions batched;
+  batched.batch_size = Operator::kDefaultBatchSize;
+  ASSERT_NE(catalog_->GetTable("lineitem")->columnar(), nullptr);
+  OperatorPtr plan = MustPlan(sql, batched);
+  EXPECT_NE(dynamic_cast<const ColumnScanOperator*>(leaf(plan.get())),
+            nullptr);
+  plan = MustPlan(sql);
+  EXPECT_NE(dynamic_cast<const SeqScanOperator*>(leaf(plan.get())), nullptr);
+
+  Catalog plain;
+  ASSERT_TRUE(
+      plain.AddTable(testutil::MakeKvTable("kv", {{1, 1.0}, {2, 2.0}})).ok());
+  ASSERT_EQ(plain.GetTable("kv")->columnar(), nullptr);
+  sql::Binder binder(&plain);
+  auto q = binder.BindSql("SELECT SUM(v) FROM kv WHERE k > 1");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto kv_plan = PhysicalPlanner(&plain, batched).CreatePlan(*q);
+  ASSERT_TRUE(kv_plan.ok()) << kv_plan.status();
+  EXPECT_NE(dynamic_cast<const SeqScanOperator*>(leaf(kv_plan->get())),
+            nullptr);
 }
 
 }  // namespace

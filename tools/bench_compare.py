@@ -7,10 +7,17 @@ compares it against the checked-in `bench/baselines/<bench>.jsonl`, flattening
 nested objects to dotted metric paths (`original.sim.l1i_misses`) and judging
 each metric against a policy table:
 
-  simulated counters   deterministic at a fixed scale factor; a change means
-                       the engine's instruction/cache behavior changed.
-                       Lower is better; regression when current exceeds
+  simulated counters   lower is better; regression when current exceeds
                        baseline by more than --tolerance (default 15%).
+                       At a fixed scale factor the instruction-side counters
+                       (instructions, module_calls, l1i_*, itlb_*,
+                       mispredicts/branches) are deterministic: a change
+                       means the engine's instruction-cache behavior
+                       changed.  The data-side counters (l1d_*, l2_*) are
+                       not: they follow heap addresses and drift by a few
+                       per mille between runs of the same binary (fig10
+                       buffered.sim.l2_misses read 726, 714 and 688), so a
+                       small diff there is not a behavior change.
   time metrics         (seconds / wall_ns / ns_per_row) noisy on shared CI
                        runners; gated at --time-tolerance (default 60%) so
                        only order-of-magnitude regressions trip the gate,
@@ -47,7 +54,7 @@ IDENTITY_FIELDS = {
     "bench", "config", "query", "comparison", "predicate", "scale_factor",
     "smoke", "hw", "rows", "sim_rows", "key_range", "batch_width",
     "batch_size", "buffer_size", "sim_buffer_size", "iters", "keep_fraction",
-    "buffers_added", "groups_out", "selected", "outputs_identical", "avx2",
+    "buffers_added", "groups_out", "selected", "outputs_identical",
     "decode_rows_out", "string_rows_out", "rows_out", "series",
 }
 
