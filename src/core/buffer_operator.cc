@@ -37,6 +37,22 @@ void BufferOperator::Refill() {
   }
   pos_ = 0;
   filled_ = 0;
+  if (batch_size() > 1 && !copy_tuples_) {
+    // Batched refill: the child writes its row pointers straight into the
+    // array, a whole batch per call, so a batch-native child runs its own
+    // loop instead of one virtual Next() per tuple.
+    while (filled_ < buffer_size_) {
+      const size_t n = child(0)->NextBatch(buffer_.data() + filled_,
+                                           buffer_size_ - filled_);
+      if (n == 0) {
+        end_of_tuples_ = true;
+        break;
+      }
+      ctx_->Touch(buffer_.data() + filled_, n * sizeof(const uint8_t*));
+      filled_ += n;
+    }
+    return;
+  }
   const Schema& schema = child(0)->output_schema();
   while (filled_ < buffer_size_) {
     const uint8_t* tuple = child(0)->Next();

@@ -20,6 +20,11 @@ namespace bufferdb {
 /// the benefit of buffering instructions"); the tuples live in the query
 /// arena / base tables until the query completes. `copy_tuples` enables the
 /// copying variant as an ablation. Capacity is fixed at construction.
+///
+/// With `set_batch_size(n > 1)` (the refiner passes the plan's width) a
+/// refill drains the child through NextBatch straight into the pointer
+/// array instead of calling Next() per tuple; the copying ablation keeps
+/// the per-tuple loop. Width 1 is the paper's Fig. 6 loop.
 class BufferOperator final : public Operator {
  public:
   static constexpr size_t kDefaultBufferSize = 1000;

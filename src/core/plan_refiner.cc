@@ -47,6 +47,7 @@ OperatorPtr PlanRefiner::CloseGroup(OperatorPtr group_top, OpenGroup group,
   }
   auto buffer = std::make_unique<BufferOperator>(std::move(group_top),
                                                  options_.buffer_size);
+  buffer->set_batch_size(options_.batch_size);
   buffer->set_estimated_rows(group.output_rows);
   if (report != nullptr) {
     ++report->buffers_added;

@@ -29,7 +29,8 @@ struct RefinementOptions {
   /// down by the batch width (clamped to >= 1 row), placing buffers above
   /// smaller groups than the tuple path would justify. Instruction
   /// *footprints* are unaffected: the buffer's code must still be resident,
-  /// so group formation (§6.1) is identical.
+  /// so group formation (§6.1) is identical. Every inserted Buffer also
+  /// refills at this width (BufferOperator::set_batch_size).
   size_t batch_size = 1;
   /// When false (ablation), every eligible operator becomes its own
   /// execution group — the "too much buffering" regime of §6.

@@ -6,6 +6,7 @@
 
 #include "exec/operator.h"
 #include "expr/expression.h"
+#include "expr/vector_eval.h"
 
 namespace bufferdb {
 
@@ -47,6 +48,13 @@ struct AggAccumulator {
 /// refiner treats it as part of the pipeline (it is *not* a pipeline breaker
 /// in the paper's sense; compare Fig. 5 where Scan and Aggregation form
 /// candidate execution groups).
+///
+/// With `set_batch_size(n > 1)` the input is drained through NextBatch.
+/// When every argument compiled to a kernel program, each program runs once
+/// per batch over the decoded (or child-published) columns and its result
+/// vector is folded into the accumulators lane by lane in row order, so the
+/// sums are bit-identical to the tuple-at-a-time loop; otherwise each row
+/// of the batch goes through the interpreter.
 class AggregationOperator final : public Operator {
  public:
   AggregationOperator(OperatorPtr child, std::vector<AggSpec> specs);
@@ -63,10 +71,29 @@ class AggregationOperator final : public Operator {
 
   const std::vector<AggSpec>& specs() const { return specs_; }
 
+  /// True when every aggregate argument compiled, so the batched load
+  /// evaluates them column-at-a-time (test hook).
+  bool args_compiled() const { return args_compiled_; }
+
  private:
+  /// Drains the child through NextBatch into `accs`.
+  void LoadBatched(std::vector<AggAccumulator>* accs);
+  /// Folds the `n` lanes of one argument's result vector into `acc`;
+  /// `arg` is null for COUNT(*).
+  static void FoldLanes(AggFunc func, const ColumnVector* arg, size_t n,
+                        AggAccumulator* acc);
+
   std::vector<AggSpec> specs_;
   Schema output_schema_;
   bool done_ = false;
+
+  // Compiled argument programs (plan-time), one per spec; nullptr for
+  // COUNT(*). Used only when every argument compiled (args_compiled_).
+  std::vector<std::unique_ptr<CompiledExpr>> arg_compiled_;
+  bool args_compiled_ = false;
+  std::vector<int> decode_cols_;  // Union of the programs' input columns.
+  std::vector<const uint8_t*> batch_rows_;
+  VectorBatch vbatch_;
 };
 
 /// Appends the simulator functions an aggregate contributes to the module

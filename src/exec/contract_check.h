@@ -102,6 +102,12 @@ class ContractCheckedOperator final : public Operator {
     child(0)->Close();
   }
 
+  /// Forwards the wrapped operator's published columns, so checked plans
+  /// exercise the same aliasing path in consumers as unchecked ones.
+  const VectorBatch* BatchColumns() const override {
+    return child(0)->BatchColumns();
+  }
+
   const Schema& output_schema() const override {
     return child(0)->output_schema();
   }

@@ -231,12 +231,12 @@ void HashAggregationOperator::Load() {
 // flight. A rehash mid-batch only wastes the remaining prefetches.
 void HashAggregationOperator::LoadBatched() {
   const Schema& in_schema = child(0)->output_schema();
-  batch_rows_.resize(batch_size_);
-  batch_keys_.resize(batch_size_);
-  batch_hashes_.resize(batch_size_);
+  batch_rows_.resize(batch_size());
+  batch_keys_.resize(batch_size());
+  batch_hashes_.resize(batch_size());
   std::vector<Value> key_values(groups_.size());
   for (;;) {
-    size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_);
+    size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size());
     if (n == 0) break;
     if (keys_compiled_) {
       // Column-at-a-time: one decode of the union of input columns feeds
@@ -295,7 +295,7 @@ void HashAggregationOperator::LoadBatched() {
 
 const uint8_t* HashAggregationOperator::Next() {
   if (!loaded_) {
-    if (batch_size_ > 1) {
+    if (batch_size() > 1) {
       LoadBatched();
     } else {
       Load();

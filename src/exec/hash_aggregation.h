@@ -46,11 +46,6 @@ class HashAggregationOperator final : public Operator {
   }
   std::string label() const override;
 
-  /// Input batch width for the load phase; <= 1 selects the tuple-at-a-time
-  /// load. Takes effect at the next Open.
-  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
   size_t num_groups() const { return group_states_.size(); }
 
   /// True when every group key and aggregate argument compiled to a kernel
@@ -95,7 +90,6 @@ class HashAggregationOperator final : public Operator {
   size_t emit_pos_ = 0;
   bool loaded_ = false;
 
-  size_t batch_size_ = 1;
   std::vector<const uint8_t*> batch_rows_;  // LoadBatched scratch.
   std::vector<std::string> batch_keys_;
   std::vector<uint64_t> batch_hashes_;

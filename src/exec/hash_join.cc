@@ -87,12 +87,12 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   probe_pos_ = 0;
   probe_count_ = 0;
   probe_eof_ = false;
-  if (probe_batch_size_ > 1) {
-    probe_rows_.resize(probe_batch_size_);
-    probe_keys_.resize(probe_batch_size_);
-    probe_buckets_.resize(probe_batch_size_);
-    probe_chains_.resize(probe_batch_size_);
-    probe_valid_.resize(probe_batch_size_);
+  if (batch_size() > 1) {
+    probe_rows_.resize(batch_size());
+    probe_keys_.resize(batch_size());
+    probe_buckets_.resize(batch_size());
+    probe_chains_.resize(batch_size());
+    probe_valid_.resize(batch_size());
   }
 
   if (!built_) {
@@ -105,7 +105,7 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
       while (capacity < 2 * static_cast<size_t>(est)) capacity <<= 1;
     }
     buckets_.assign(capacity, -1);
-    if (probe_batch_size_ > 1 && build_compiled_ != nullptr) {
+    if (batch_size() > 1 && build_compiled_ != nullptr) {
       // Batched build: pull whole batches, evaluate all keys with the
       // compiled program, then insert row-at-a-time.
       build_rows_.resize(kDefaultBatchSize);
@@ -141,12 +141,12 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
 // passes: pass 1 evaluates keys, hashes, and prefetches every row's bucket;
 // pass 2 reads the (now in-flight) bucket heads and prefetches the first
 // chain node. By the time the caller walks a row's chain, its cache lines
-// are en route — the misses of up to `probe_batch_size_` independent probes
+// are en route — the misses of up to `batch_size()` independent probes
 // overlap instead of paying a full DRAM round-trip each.
 void HashJoinOperator::FetchProbeBatch() {
   const Schema& probe_schema = child(0)->output_schema();
   probe_pos_ = 0;
-  probe_count_ = child(0)->NextBatch(probe_rows_.data(), probe_batch_size_);
+  probe_count_ = child(0)->NextBatch(probe_rows_.data(), batch_size());
   if (probe_count_ == 0) {
     probe_eof_ = true;
     return;
@@ -216,7 +216,7 @@ const uint8_t* HashJoinOperator::Next() {
         return combined;
       }
     }
-    if (probe_batch_size_ > 1) {
+    if (batch_size() > 1) {
       // Batched probe: serve the precomputed rows of the current batch.
       if (probe_pos_ >= probe_count_) {
         if (!probe_eof_) FetchProbeBatch();

@@ -19,7 +19,7 @@ namespace bufferdb {
 /// modules"). module_id() reports the probe module — the code that runs
 /// per pipeline tuple.
 ///
-/// With `set_probe_batch_size(n > 1)` the probe side consumes its input
+/// With `set_batch_size(n > 1)` the probe side consumes its input
 /// through NextBatch: probe keys and bucket heads for the whole batch are
 /// computed up front with software prefetches issued for the buckets (and
 /// first chain nodes) of tuples ahead in the batch, so the DRAM misses of
@@ -42,11 +42,6 @@ class HashJoinOperator final : public Operator {
   std::string label() const override { return "HashJoin"; }
 
   size_t build_size() const { return nodes_.size(); }
-
-  /// Probe-side batch width; <= 1 selects the tuple-at-a-time probe.
-  /// Takes effect at the next Open.
-  void set_probe_batch_size(size_t n) { probe_batch_size_ = n == 0 ? 1 : n; }
-  size_t probe_batch_size() const { return probe_batch_size_; }
 
   /// Non-null when the respective key expression compiled to a kernel
   /// program (test hooks). Compiled keys are used on the batched probe path
@@ -93,8 +88,7 @@ class HashJoinOperator final : public Operator {
   int32_t chain_ = -1;
   bool built_ = false;
 
-  // Batched probe state (active when probe_batch_size_ > 1).
-  size_t probe_batch_size_ = 1;
+  // Batched probe state (active when batch_size() > 1).
   std::vector<const uint8_t*> probe_rows_;
   std::vector<int64_t> probe_keys_;
   std::vector<uint64_t> probe_buckets_;  // Bucket index per row (pass 1).

@@ -75,8 +75,21 @@ Status IndexNestLoopJoinOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   need_outer_ = true;
   outer_row_ = nullptr;
+  outer_pos_ = 0;
+  outer_count_ = 0;
+  if (batch_size() > 1) outer_rows_.resize(batch_size());
   BUFFERDB_RETURN_IF_ERROR(child(0)->Open(ctx));
   return child(1)->Open(ctx);
+}
+
+const uint8_t* IndexNestLoopJoinOperator::NextOuter() {
+  if (batch_size() <= 1) return child(0)->Next();
+  if (outer_pos_ >= outer_count_) {
+    outer_count_ = child(0)->NextBatch(outer_rows_.data(), outer_rows_.size());
+    outer_pos_ = 0;
+    if (outer_count_ == 0) return nullptr;
+  }
+  return outer_rows_[outer_pos_++];
 }
 
 const uint8_t* IndexNestLoopJoinOperator::Next() {
@@ -85,7 +98,7 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
   while (true) {
     if (need_outer_) {
       ctx_->ExecModule(module_id(), hot_funcs_);
-      outer_row_ = child(0)->Next();
+      outer_row_ = NextOuter();
       if (outer_row_ == nullptr) return nullptr;
       TupleView outer_view(outer_row_, &outer_schema);
       Value key = outer_key_expr_->Evaluate(outer_view);

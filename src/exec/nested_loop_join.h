@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exec/index_scan.h"
 #include "exec/operator.h"
@@ -40,6 +41,9 @@ class NestLoopJoinOperator final : public Operator {
 /// the planner knows the inner is a key lookup ("the optimizer knows that at
 /// most one row matches each outer tuple"), it marks the inner operator as
 /// excluded from buffering (§6).
+///
+/// With `set_batch_size(n > 1)` the outer side is pulled through NextBatch
+/// into a small array of up to `n` rows, consumed one outer row at a time.
 class IndexNestLoopJoinOperator final : public Operator {
  public:
   IndexNestLoopJoinOperator(OperatorPtr outer,
@@ -57,11 +61,18 @@ class IndexNestLoopJoinOperator final : public Operator {
   std::string label() const override { return "NestLoop(indexed)"; }
 
  private:
+  /// The next outer row: child(0)->Next() at width 1, else the next entry
+  /// of the outer array, refilled through NextBatch when drained.
+  const uint8_t* NextOuter();
+
   ExprPtr outer_key_expr_;
   Schema output_schema_;
   IndexScanOperator* inner_scan_ = nullptr;  // Alias of child(1).
   const uint8_t* outer_row_ = nullptr;
   bool need_outer_ = true;
+  std::vector<const uint8_t*> outer_rows_;  // Batched outer side.
+  size_t outer_pos_ = 0;
+  size_t outer_count_ = 0;
 };
 
 }  // namespace bufferdb

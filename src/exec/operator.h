@@ -72,9 +72,10 @@ class Operator {
   /// two drain the same underlying stream.
   ///
   /// The default implementation loops over Next(), so every operator
-  /// supports the batch interface unchanged; operators with a natural
-  /// array representation (Buffer, Exchange) or a tight generation loop
-  /// (SeqScan, Filter, Project) override it.
+  /// supports the batch interface unchanged. Overriders: the producers with
+  /// a natural array representation or a tight generation loop (SeqScan,
+  /// ColumnScan, Filter, Project, Buffer, Exchange). Which consumers pull
+  /// their children through NextBatch is set by batch_size() (DESIGN.md §8).
   virtual size_t NextBatch(const uint8_t** out, size_t max);
 
   /// Re-positions at the beginning without releasing state. Default
@@ -138,6 +139,16 @@ class Operator {
   bool excluded_from_buffering() const { return excluded_from_buffering_; }
   void set_excluded_from_buffering(bool v) { excluded_from_buffering_ = v; }
 
+  /// Width at which this operator pulls its children: > 1 makes the
+  /// batch-aware consumers (scalar and hash aggregation, stream
+  /// aggregation, the hash-join probe, the index-NLJ outer side, Buffer
+  /// refill) drain their input through NextBatch in batches of this many
+  /// rows; 1 — the default, the paper's setting — keeps the tuple-at-a-time
+  /// Next() loop. The planner and refiner set it from the plan's batch
+  /// width. Takes effect at the next Open.
+  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
+  size_t batch_size() const { return batch_size_; }
+
   /// Optimizer cardinality estimate for this operator's output; < 0 means
   /// unknown (treated as large by the refiner).
   double estimated_rows() const { return estimated_rows_; }
@@ -183,6 +194,7 @@ class Operator {
 
  private:
   std::vector<std::unique_ptr<Operator>> children_;
+  size_t batch_size_ = 1;
   bool excluded_from_buffering_ = false;
   double estimated_rows_ = -1.0;
 };

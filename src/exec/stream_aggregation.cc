@@ -68,7 +68,7 @@ Status StreamAggregationOperator::Open(ExecContext* ctx) {
   input_done_ = false;
   pos_ = 0;
   count_ = 0;
-  if (batch_size_ > 1) batch_rows_.resize(batch_size_);
+  if (batch_size() > 1) batch_rows_.resize(batch_size());
   return child(0)->Open(ctx);
 }
 
@@ -95,7 +95,7 @@ const uint8_t* StreamAggregationOperator::NextVectorized() {
   const Schema& in_schema = child(0)->output_schema();
   for (;;) {
     if (pos_ >= count_) {
-      count_ = child(0)->NextBatch(batch_rows_.data(), batch_size_);
+      count_ = child(0)->NextBatch(batch_rows_.data(), batch_size());
       pos_ = 0;
       if (count_ == 0) {
         ctx_->ExecModule(module_id(), hot_funcs_batched());
@@ -146,7 +146,7 @@ const uint8_t* StreamAggregationOperator::NextVectorized() {
 }
 
 const uint8_t* StreamAggregationOperator::Next() {
-  if (batch_size_ > 1 && keys_compiled_) {
+  if (batch_size() > 1 && keys_compiled_) {
     return NextVectorized();
   }
   if (input_done_) {

@@ -37,11 +37,6 @@ class StreamAggregationOperator final : public Operator {
   }
   std::string label() const override;
 
-  /// Input batch width for the vectorized path; <= 1 selects the
-  /// tuple-at-a-time stream. Takes effect at the next Open.
-  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
   /// True when every group key and aggregate argument compiled (test hook).
   bool keys_compiled() const { return keys_compiled_; }
 
@@ -60,8 +55,8 @@ class StreamAggregationOperator final : public Operator {
   bool group_open_ = false;
   bool input_done_ = false;
 
-  // Vectorized-path state (active when batch_size_ > 1 and keys_compiled_).
-  size_t batch_size_ = 1;
+  // Vectorized-path state (active when batch_size() > 1 and
+  // keys_compiled_).
   std::vector<std::unique_ptr<CompiledExpr>> group_compiled_;
   std::vector<std::unique_ptr<CompiledExpr>> arg_compiled_;
   bool keys_compiled_ = false;

@@ -64,6 +64,12 @@ class ProfiledOperator final : public Operator {
     child(0)->Close();
   }
 
+  /// Forwards the wrapped operator's published columns, so a consumer
+  /// above a profiled scan aliases them exactly as it would unprofiled.
+  const VectorBatch* BatchColumns() const override {
+    return child(0)->BatchColumns();
+  }
+
   const Schema& output_schema() const override {
     return child(0)->output_schema();
   }

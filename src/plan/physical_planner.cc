@@ -136,6 +136,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       join_op = std::make_unique<IndexNestLoopJoinOperator>(
           std::move(plan), std::move(inner),
           ColRef(outer_schema, outer_key_col));
+      join_op->set_batch_size(options_.batch_size);
       break;
     }
     case JoinStrategy::kHashJoin: {
@@ -144,7 +145,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
           std::move(plan), std::move(build),
           ColRef(outer_schema, outer_key_col),
           ColRef(inner_schema, inner_key_col), nullptr);
-      hash_join->set_probe_batch_size(options_.batch_size);
+      hash_join->set_batch_size(options_.batch_size);
       join_op = std::move(hash_join);
       break;
     }
@@ -305,6 +306,7 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
     if (scalar_agg) {
       auto agg = std::make_unique<AggregationOperator>(
           std::move(frag), parallel::MakePartialAggSpecs(final_specs));
+      agg->set_batch_size(options_.batch_size);
       agg->set_estimated_rows(1.0);
       frag = std::move(agg);
     } else if (!query.has_aggregates) {
@@ -397,6 +399,7 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
     if (groups.empty()) {
       plan = std::make_unique<AggregationOperator>(std::move(plan),
                                                    std::move(specs));
+      plan->set_batch_size(options_.batch_size);
       plan->set_estimated_rows(1.0);
     } else {
       auto hash_agg = std::make_unique<HashAggregationOperator>(

@@ -44,9 +44,10 @@ struct PlannerOptions {
   /// Rows per morsel of the partitioned driving scan; 0 = library default.
   size_t morsel_rows = 0;
   /// Batch width for the batch-at-a-time fast path: batch-aware consumers
-  /// (hash-join probe, hash aggregation) consume their input through
-  /// NextBatch with prefetching, and the refiner accounts for batch-drained
-  /// buffers (RefinementOptions::batch_size). 1 — the default — keeps
+  /// (scalar and hash aggregation, the hash-join probe, the index-NLJ outer
+  /// side) consume their input through NextBatch (Operator::batch_size),
+  /// and the refiner accounts for batch-drained buffers and refills them
+  /// at this width (RefinementOptions::batch_size). 1 — the default — keeps
   /// tuple-at-a-time execution everywhere, the paper's setting; set e.g.
   /// Operator::kDefaultBatchSize to enable the batch path.
   ///

@@ -11,6 +11,7 @@ namespace {
 
 using testutil::Bin;
 using testutil::Col;
+using testutil::CountingOperator;
 using testutil::Lit;
 using testutil::MakeKvTable;
 using testutil::RunPlan;
@@ -19,6 +20,20 @@ std::unique_ptr<Table> SequentialTable(int n) {
   std::vector<std::pair<int64_t, double>> rows;
   for (int i = 0; i < n; ++i) rows.push_back({i, i * 0.5});
   return MakeKvTable("t", rows);
+}
+
+// Buffer over a counted SeqScan; `counter` receives the counting child.
+std::unique_ptr<BufferOperator> CountedBuffer(Table* table, size_t size,
+                                              size_t width,
+                                              CountingOperator** counter,
+                                              bool copy_tuples = false) {
+  auto counting = std::make_unique<CountingOperator>(
+      std::make_unique<SeqScanOperator>(table, nullptr));
+  *counter = counting.get();
+  auto buffer =
+      std::make_unique<BufferOperator>(std::move(counting), size, copy_tuples);
+  buffer->set_batch_size(width);
+  return buffer;
 }
 
 class BufferSizeTest : public ::testing::TestWithParam<size_t> {};
@@ -262,6 +277,84 @@ TEST(BufferOperatorTest, RescanReplayUnderContractCheckerWithSlicePoisoning) {
   EXPECT_EQ(raw->replays(), 3u);
   EXPECT_EQ(raw->refills(), 1u);  // The child ran exactly once.
   checked.Close();
+}
+
+TEST(BufferOperatorTest, BatchedRefillNeverCallsChildNext) {
+  // At width > 1 a refill drains the child through NextBatch straight into
+  // the pointer array: same rows, same order, zero per-tuple Next() calls.
+  auto table = SequentialTable(1000);
+  for (size_t width : {2u, 7u, 1024u}) {
+    CountingOperator* counter = nullptr;
+    auto buffer = CountedBuffer(table.get(), 64, width, &counter);
+    ExecContext ctx;
+    ASSERT_TRUE(buffer->Open(&ctx).ok());
+    for (size_t i = 0; i < 1000; ++i) {
+      ASSERT_EQ(buffer->Next(), table->row(i)) << "width " << width;
+    }
+    EXPECT_EQ(buffer->Next(), nullptr);
+    buffer->Close();
+    EXPECT_EQ(counter->next_calls, 0u) << "width " << width;
+    EXPECT_GT(counter->batch_calls, 0u) << "width " << width;
+    // 15 full refills of 64, then one of 40 that also sees end of stream.
+    EXPECT_EQ(buffer->refills(), 16u) << "width " << width;
+    EXPECT_EQ(buffer->buffer_reallocs(), 0u) << "width " << width;
+  }
+}
+
+TEST(BufferOperatorTest, WidthOneRefillKeepsTupleLoop) {
+  auto table = SequentialTable(100);
+  CountingOperator* counter = nullptr;
+  auto buffer = CountedBuffer(table.get(), 64, 1, &counter);
+  EXPECT_EQ(RunPlan(buffer.get()).size(), 100u);
+  EXPECT_EQ(counter->batch_calls, 0u);
+  EXPECT_EQ(counter->next_calls, 101u);  // 100 rows plus end of stream.
+}
+
+TEST(BufferOperatorTest, RescanReplaysSingleBatchedRefill) {
+  auto table = SequentialTable(50);
+  CountingOperator* counter = nullptr;
+  auto buffer = CountedBuffer(table.get(), 100, 256, &counter);
+  ExecContext ctx;
+  ASSERT_TRUE(buffer->Open(&ctx).ok());
+  const uint8_t* slice[16];
+  for (int pass = 0; pass < 3; ++pass) {
+    size_t total = 0;
+    while (size_t n = buffer->NextBatch(slice, 16)) {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(slice[i], table->row(total + i)) << "pass " << pass;
+      }
+      total += n;
+    }
+    EXPECT_EQ(total, 50u) << "pass " << pass;
+    ASSERT_TRUE(buffer->Rescan().ok());
+  }
+  EXPECT_EQ(buffer->replays(), 3u);
+  EXPECT_EQ(buffer->refills(), 1u);
+  EXPECT_EQ(counter->opens, 1u);  // The child was never re-executed.
+  EXPECT_EQ(counter->next_calls, 0u);
+  EXPECT_EQ(buffer->buffer_reallocs(), 0u);
+  buffer->Close();
+}
+
+TEST(BufferOperatorTest, CopyModeKeepsRowLoopAtAnyWidth) {
+  // The copying ablation still copies every tuple at width > 1.
+  auto table = SequentialTable(10);
+  CountingOperator* counter = nullptr;
+  auto buffer = CountedBuffer(table.get(), 4, 1024, &counter,
+                              /*copy_tuples=*/true);
+  ExecContext ctx;
+  ASSERT_TRUE(buffer->Open(&ctx).ok());
+  for (size_t i = 0; i < 10; ++i) {
+    const uint8_t* row = buffer->Next();
+    ASSERT_NE(row, nullptr);
+    EXPECT_NE(row, table->row(i));
+    EXPECT_EQ(TupleView(row, &table->schema()).GetInt64(0),
+              static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(buffer->Next(), nullptr);
+  buffer->Close();
+  EXPECT_EQ(counter->batch_calls, 0u);
+  EXPECT_EQ(counter->next_calls, 11u);
 }
 
 TEST(BufferOperatorTest, ReducesInstructionCacheMissesUnderSim) {

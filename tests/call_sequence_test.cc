@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/seq_scan.h"
+#include "plan/physical_planner.h"
 #include "profile/call_sequence.h"
+#include "sql/binder.h"
 #include "test_util.h"
 
 namespace bufferdb {
@@ -41,6 +44,31 @@ TEST(CallSequenceTest, UnbufferedPlanInterleavesPerTuple) {
   std::string seq = rec.Sequence();
   EXPECT_EQ(seq.substr(0, 6), "CPCPCP");
   EXPECT_GE(rec.Transitions(), 6u);
+}
+
+TEST(CallSequenceTest, PlannerWidthOnePlanInterleavesPerTuple) {
+  // The paper's setting through the planner: a width-1 plan keeps the
+  // per-tuple Scan/Agg interleaving, however batch-aware its operators are.
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddTable(MakeKvTable("t", {{1, 1}, {2, 2}, {3, 3}, {4, 4}}))
+                  .ok());
+  sql::Binder binder(&catalog);
+  auto query = binder.BindSql("SELECT COUNT(*), SUM(v) FROM t");
+  ASSERT_TRUE(query.ok()) << query.status();
+  PlannerOptions options;  // batch_size = 1.
+  auto plan = PhysicalPlanner(&catalog, options).CreatePlan(*query);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ((*plan)->module_id(), sim::ModuleId::kAggregation);
+
+  profile::CallSequenceRecorder recorder;
+  sim::SimCpu cpu;
+  cpu.set_call_graph_sink(&recorder);
+  ExecContext ctx;
+  ctx.cpu = &cpu;
+  ASSERT_TRUE(ExecutePlanRows(plan->get(), &ctx).ok());
+  EXPECT_EQ(recorder.Sequence().substr(0, 8), "CPCPCPCP")
+      << recorder.Sequence();
 }
 
 TEST(CallSequenceTest, BufferedPlanBatchesRuns) {

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "exec/column_scan.h"
+#include "exec/contract_check.h"
 #include "exec/seq_scan.h"
+#include "perf/profiled_operator.h"
 #include "plan/physical_planner.h"
 #include "sql/binder.h"
 #include "storage/column_table.h"
@@ -399,6 +401,65 @@ TEST_P(ColumnScanWidthTest, MatchesSeqScanAcrossWidths) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, ColumnScanWidthTest,
                          ::testing::Values(1, 7, 256, 1024));
+
+// Drains `op` batch by batch and records, per batch, the row count, then
+// each published column's index followed by its lanes as boxed Values.
+std::vector<std::vector<Value>> PublishedPerBatch(Operator* op, size_t width) {
+  ExecContext ctx;
+  EXPECT_TRUE(op->Open(&ctx).ok());
+  std::vector<std::vector<Value>> batches;
+  std::vector<const uint8_t*> rows(width);
+  while (size_t n = op->NextBatch(rows.data(), width)) {
+    const VectorBatch* published = op->BatchColumns();
+    EXPECT_NE(published, nullptr);
+    if (published == nullptr) break;
+    EXPECT_EQ(published->rows(), n);
+    std::vector<Value> values;
+    values.push_back(Value::Int64(static_cast<int64_t>(n)));
+    // k and v (strings are never published; a filtered scan publishes
+    // only its predicate's inputs).
+    for (int col : {0, 1}) {
+      const ColumnVector* vec = published->Find(col);
+      if (vec == nullptr) continue;
+      values.push_back(Value::Int64(col));
+      for (size_t i = 0; i < n; ++i) values.push_back(LaneValue(*vec, i));
+    }
+    batches.push_back(std::move(values));
+  }
+  op->Close();
+  return batches;
+}
+
+TEST(ColumnScanWrapperTest, WrappersForwardPublishedColumns) {
+  // A consumer above a profiled or contract-checked ColumnScan must see the
+  // scan's published columns, exactly as above the bare scan.
+  auto table = MakeColumnarTable(997);
+  const Schema& s = table->schema();
+  for (bool filtered : {false, true}) {
+    auto make_scan = [&] {
+      ExprPtr pred =
+          filtered ? Bin(BinaryOp::kLt, Col(s, "v"), Lit(Value::Double(100.0)))
+                   : nullptr;
+      return std::make_unique<ColumnScanOperator>(table.get(), std::move(pred));
+    };
+    auto bare = make_scan();
+    const auto expected = PublishedPerBatch(bare.get(), 256);
+    ASSERT_FALSE(expected.empty());
+
+    ContractCheckedOperator checked(make_scan());
+    perf::OperatorStats stats;
+    perf::ProfiledOperator profiled(make_scan(), &stats);
+    for (Operator* wrapped : {static_cast<Operator*>(&checked),
+                              static_cast<Operator*>(&profiled)}) {
+      const auto actual = PublishedPerBatch(wrapped, 256);
+      ASSERT_EQ(actual.size(), expected.size()) << wrapped->label();
+      for (size_t b = 0; b < expected.size(); ++b) {
+        EXPECT_EQ(actual[b], expected[b])
+            << wrapped->label() << " batch " << b << " filtered " << filtered;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bufferdb

@@ -3,6 +3,7 @@
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "exec/hash_join.h"
+#include "exec/index_scan.h"
 #include "exec/materialize.h"
 #include "exec/merge_join.h"
 #include "exec/nested_loop_join.h"
@@ -157,6 +158,68 @@ TEST(JoinTest, HashJoinRehashGrowth) {
                         Key(*right));
   EXPECT_EQ(RunPlan(&join).size(), 5000u);
   EXPECT_EQ(join.build_size(), 0u);  // Cleared on Close.
+}
+
+TEST(JoinTest, IndexNestLoopBatchedOuterMatchesTupleOuter) {
+  // Outer keys with duplicates and NULLs; the inner index is non-unique.
+  Schema schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}});
+  auto left = std::make_unique<Table>("l", schema);
+  for (int64_t i = 0; i < 3000; ++i) {
+    Value k = i % 9 == 4 ? Value::Null(DataType::kInt64)
+                         : Value::Int64((i * 37) % 250);
+    left->AppendRow({k, Value::Double(static_cast<double>(i))});
+  }
+  std::vector<std::pair<int64_t, double>> rrows;
+  for (int64_t k = 0; k < 250; k += 2) {
+    rrows.push_back({k, k * 10.0});
+    if (k % 10 == 0) rrows.push_back({k, k * 10.0 + 1});
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeKvTable("r", rrows)).ok());
+  ASSERT_TRUE(catalog.CreateIndex("r_k", "r", "k").ok());
+  const IndexInfo* index = catalog.GetIndex("r_k");
+
+  testutil::CountingOperator* counter = nullptr;
+  auto make_join = [&](size_t width) {
+    auto outer = std::make_unique<testutil::CountingOperator>(Scan(left.get()));
+    counter = outer.get();
+    auto inner = std::make_unique<IndexScanOperator>(index, std::nullopt,
+                                                     std::nullopt, nullptr);
+    auto join = std::make_unique<IndexNestLoopJoinOperator>(
+        std::move(outer), std::move(inner), Key(*left));
+    join->set_batch_size(width);
+    return join;
+  };
+  auto tuple_join = make_join(1);
+  const auto expected = RunPlan(tuple_join.get());
+  EXPECT_EQ(counter->batch_calls, 0u);
+  ASSERT_GT(expected.size(), 1000u);
+
+  for (size_t width : {7u, 1024u}) {
+    auto join = make_join(width);
+    // Same rows in the same order: the outer order is preserved.
+    EXPECT_EQ(RunPlan(join.get()), expected) << "width " << width;
+    EXPECT_EQ(counter->next_calls, 0u) << "width " << width;
+
+    // Rescan mid-stream restarts the outer array from the first row.
+    ExecContext ctx;
+    ASSERT_TRUE(join->Open(&ctx).ok());
+    for (int i = 0; i < 500; ++i) ASSERT_NE(join->Next(), nullptr);
+    ASSERT_TRUE(join->Rescan().ok());
+    std::vector<std::vector<Value>> replay;
+    const Schema& out = join->output_schema();
+    while (const uint8_t* row = join->Next()) {
+      TupleView view(row, &out);
+      std::vector<Value> values;
+      for (size_t c = 0; c < out.num_columns(); ++c) {
+        values.push_back(view.GetValue(c));
+      }
+      replay.push_back(std::move(values));
+    }
+    join->Close();
+    EXPECT_EQ(replay, expected) << "width " << width;
+    EXPECT_EQ(counter->next_calls, 0u) << "width " << width;
+  }
 }
 
 class JoinEquivalenceTest : public ::testing::TestWithParam<int> {};

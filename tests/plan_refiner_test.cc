@@ -253,6 +253,24 @@ TEST(PlanRefinerTest, BufferSizeOptionPropagates) {
   EXPECT_EQ(buffer->buffer_size(), 4242u);
 }
 
+// Every Buffer the refiner inserts refills at the refinement width; the
+// default width 1 keeps the paper's per-tuple refill loop.
+TEST(PlanRefinerTest, InsertedBuffersCarryTheRefinementWidth) {
+  auto table = MakeKvTable("t", {{1, 1}});
+  for (size_t width : {size_t{1}, size_t{1024}}) {
+    RefinementOptions options;
+    options.batch_size = width;
+    options.merge_execution_groups = false;
+    RefinementReport report;
+    OperatorPtr refined =
+        PlanRefiner(options).Refine(Query1Plan(table.get(), 1e6), &report);
+    ASSERT_EQ(report.buffers_added, 1);
+    ASSERT_TRUE(IsBuffer(refined->child(0)));
+    EXPECT_EQ(refined->child(0)->batch_size(), width);
+    EXPECT_EQ(refined->batch_size(), 1u);  // The refiner widens only Buffers.
+  }
+}
+
 TEST(PlanRefinerTest, ReportFootprintsAreShared) {
   auto table = MakeKvTable("t", {{1, 1}});
   RefinementReport report;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "core/buffer_operator.h"
+#include "exec/aggregation.h"
 #include "exec/column_scan.h"
+#include "exec/hash_aggregation.h"
+#include "exec/hash_join.h"
+#include "exec/nested_loop_join.h"
 #include "exec/seq_scan.h"
 #include "plan/cardinality.h"
 #include "plan/physical_planner.h"
@@ -263,6 +268,93 @@ TEST_F(PlannerTest, ScanChoiceFollowsBatchWidthAndColumnarImage) {
   ASSERT_TRUE(kv_plan.ok()) << kv_plan.status();
   EXPECT_NE(dynamic_cast<const SeqScanOperator*>(leaf(kv_plan->get())),
             nullptr);
+}
+
+// Collects the pull width of every batch-aware consumer in `op`'s tree,
+// keyed by operator kind. (Exchange and AggregateMerge are no such
+// consumers, although they share the Buffer and Aggregation modules.)
+void CollectConsumerWidths(const Operator* op,
+                           std::vector<std::pair<std::string, size_t>>* out) {
+  const char* kind = nullptr;
+  if (dynamic_cast<const AggregationOperator*>(op) != nullptr) {
+    kind = "Agg";
+  } else if (dynamic_cast<const HashAggregationOperator*>(op) != nullptr) {
+    kind = "HashAgg";
+  } else if (dynamic_cast<const HashJoinOperator*>(op) != nullptr) {
+    kind = "HashJoin";
+  } else if (dynamic_cast<const IndexNestLoopJoinOperator*>(op) != nullptr) {
+    kind = "IndexNLJ";
+  } else if (dynamic_cast<const BufferOperator*>(op) != nullptr) {
+    kind = "Buffer";
+  }
+  if (kind != nullptr) out->emplace_back(kind, op->batch_size());
+  for (size_t i = 0; i < op->num_children(); ++i) {
+    CollectConsumerWidths(op->child(i), out);
+  }
+}
+
+size_t MaxWidth(const Operator* op) {
+  size_t w = op->batch_size();
+  for (size_t i = 0; i < op->num_children(); ++i) {
+    w = std::max(w, MaxWidth(op->child(i)));
+  }
+  return w;
+}
+
+// The planner and refiner hand the plan's width to every batch-aware
+// consumer: scalar Agg (serial and per-fragment partial), index NLJ,
+// HashJoin, HashAgg and the Buffers the refiner inserts. A width-1 plan —
+// the paper's setting — carries 1 on every operator.
+TEST_F(PlannerTest, BatchWidthReachesEveryConsumer) {
+  struct Case {
+    const char* sql;
+    JoinStrategy join;
+    size_t degree;
+    std::vector<std::string> modules;  // Consumers the plan must contain.
+  };
+  const std::vector<Case> cases = {
+      {kQuery3, JoinStrategy::kAuto, 1, {"Agg", "IndexNLJ"}},
+      {kQuery3, JoinStrategy::kHashJoin, 1, {"Agg", "HashJoin"}},
+      {"SELECT l_returnflag, SUM(l_quantity) FROM lineitem "
+       "GROUP BY l_returnflag",
+       JoinStrategy::kAuto, 1, {"HashAgg"}},
+      {"SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem "
+       "WHERE l_quantity < 25",
+       JoinStrategy::kAuto, 2, {"Agg"}},
+  };
+  for (const Case& c : cases) {
+    for (bool refine : {false, true}) {
+      for (size_t width : {size_t{1}, size_t{1024}}) {
+        PlannerOptions options;
+        options.join_strategy = c.join;
+        options.parallel_degree = c.degree;
+        options.batch_size = width;
+        options.refine = refine;
+        // Every eligible operator its own group, each one buffered.
+        options.refinement.merge_execution_groups = false;
+        options.refinement.cardinality_threshold = 0;
+        OperatorPtr plan = MustPlan(c.sql, options);
+        SCOPED_TRACE(std::string(c.sql) + " width " + std::to_string(width) +
+                     (refine ? " refined" : ""));
+        std::vector<std::pair<std::string, size_t>> widths;
+        CollectConsumerWidths(plan.get(), &widths);
+        for (const std::string& module : c.modules) {
+          bool found = false;
+          for (const auto& [name, w] : widths) found = found || name == module;
+          EXPECT_TRUE(found) << module;
+        }
+        bool buffered = false;
+        for (const auto& [name, w] : widths) {
+          EXPECT_EQ(w, width) << name;
+          buffered = buffered || name == "Buffer";
+        }
+        EXPECT_EQ(buffered, refine);
+        if (width == 1) {
+          EXPECT_EQ(MaxWidth(plan.get()), 1u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

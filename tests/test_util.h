@@ -24,6 +24,36 @@ namespace bufferdb::testutil {
   return BUFFERDB_WRAP_CONTRACT_CHECKED(std::move(op));
 }
 
+/// Pass-through operator that counts the transfer calls its parent makes,
+/// so tests can tell a batch-draining consumer from a row-pulling one.
+class CountingOperator final : public Operator {
+ public:
+  explicit CountingOperator(OperatorPtr inner) { AddChild(std::move(inner)); }
+
+  [[nodiscard]] Status Open(ExecContext* ctx) override {
+    ++opens;
+    return child(0)->Open(ctx);
+  }
+  const uint8_t* Next() override {
+    ++next_calls;
+    return child(0)->Next();
+  }
+  size_t NextBatch(const uint8_t** out, size_t max) override {
+    ++batch_calls;
+    return child(0)->NextBatch(out, max);
+  }
+  void Close() override { child(0)->Close(); }
+
+  const Schema& output_schema() const override {
+    return child(0)->output_schema();
+  }
+  sim::ModuleId module_id() const override { return child(0)->module_id(); }
+
+  size_t opens = 0;
+  size_t next_calls = 0;
+  size_t batch_calls = 0;
+};
+
 /// Two-column (k INT64, v DOUBLE) table from (k, v) pairs.
 inline std::unique_ptr<Table> MakeKvTable(
     const std::string& name,
